@@ -72,9 +72,9 @@ SchedProblem make_sched_problem(const Architecture& arch, const FlatSpec& flat,
 PriorityLevels current_priority_levels(const Architecture& arch,
                                        const FlatSpec& flat,
                                        const ResourceLibrary& lib,
-                                       const std::vector<int>& task_cluster) {
-  std::vector<TimeNs> task_time = default_task_times(flat, lib);
-  std::vector<TimeNs> edge_time = default_edge_times(flat, lib);
+                                       const std::vector<int>& task_cluster,
+                                       std::vector<TimeNs> task_time,
+                                       std::vector<TimeNs> edge_time) {
   for (int tid = 0; tid < flat.task_count(); ++tid) {
     const int c = task_cluster[tid];
     if (c < 0 || arch.cluster_pe[c] < 0) continue;
@@ -106,11 +106,17 @@ PriorityLevels scheduling_levels(const FlatSpec& flat,
 
 Allocator::Allocator(const FlatSpec& flat, const ResourceLibrary& lib,
                      const CompatibilityMatrix* compat, AllocParams params)
-    : flat_(flat), lib_(lib), compat_(compat), params_(std::move(params)) {
+    : flat_(flat),
+      lib_(lib),
+      compat_(compat),
+      params_(std::move(params)),
+      default_task_time_(default_task_times(flat, lib)),
+      default_edge_time_(default_edge_times(flat, lib)) {
   CRUSADE_REQUIRE(!params_.use_modes || compat_ != nullptr,
                   "mode-aware allocation needs compatibility vectors");
   sched_evals_ = params_.initial_sched_evals;
-  sched_levels_ = scheduling_levels(flat_, lib_);
+  sched_levels_ = priority_levels(flat_, default_task_time_,
+                                  default_edge_time_);
   optimistic_exec_.assign(flat_.task_count(), 0);
   for (int tid = 0; tid < flat_.task_count(); ++tid) {
     const Task& t = flat_.task(tid);
@@ -269,10 +275,10 @@ std::vector<Allocator::Candidate> Allocator::enumerate(
   std::vector<Candidate> candidates;
   const double base_cost = arch.cost().total();
 
-  auto push = [&](const Architecture& applied, PeTypeId target_type,
+  auto push = [&](Architecture applied, PeTypeId target_type,
                   bool created_mode) {
     Candidate cand;
-    cand.arch = applied;
+    cand.arch = std::move(applied);
     cand.delta_cost = cand.arch.cost().total() - base_cost;
     cand.preference =
         cluster.preference.empty() ? 0 : cluster.preference[target_type];
@@ -283,7 +289,7 @@ std::vector<Allocator::Candidate> Allocator::enumerate(
   auto try_existing = [&](int pe, int mode, bool created_mode) {
     Architecture applied = arch;
     if (!apply(applied, cluster, pe, mode, task_cluster)) return;
-    push(applied, arch.pes[pe].type, created_mode);
+    push(std::move(applied), arch.pes[pe].type, created_mode);
   };
 
   // --- existing PE instances ---
@@ -400,17 +406,18 @@ std::vector<Allocator::Candidate> Allocator::enumerate(
     Architecture applied = arch;
     const int pe = applied.add_pe(type);
     if (!apply(applied, cluster, pe, 0, task_cluster)) continue;
-    push(applied, type, false);
+    push(std::move(applied), type, false);
     candidates.back().new_instance = true;
   }
   return candidates;
 }
 
-ScheduleResult Allocator::evaluate(const SchedProblem& problem) {
+ScheduleResult Allocator::evaluate(const SchedProblem& problem,
+                                   const ScheduleResult& committed) {
   OBS_SPAN("alloc.eval");
   ++sched_evals_;
   obs::count("alloc.sched_evals");
-  return run_list_scheduler(problem, sched_levels_);
+  return run_list_scheduler(problem, sched_levels_, &committed);
 }
 
 AllocationOutcome Allocator::run(const std::vector<Cluster>& clusters,
@@ -457,8 +464,9 @@ AllocationOutcome Allocator::run(const std::vector<Cluster>& clusters,
   for (char p : placed)
     if (p) ++already;
   std::vector<double> cluster_priority(clusters.size(), 0);
-  PriorityLevels levels = current_priority_levels(outcome.arch, flat_, lib_,
-                                                  outcome.task_cluster);
+  PriorityLevels levels =
+      current_priority_levels(outcome.arch, flat_, lib_, outcome.task_cluster,
+                              default_task_time_, default_edge_time_);
   auto refresh_cluster_priorities = [&]() {
     for (std::size_t c = 0; c < clusters.size(); ++c) {
       if (placed[c]) continue;
@@ -549,7 +557,8 @@ AllocationOutcome Allocator::run(const std::vector<Cluster>& clusters,
           outcome.arch, flat_, outcome.task_cluster, params_.boot_estimate,
           params_.reboots_in_schedule);
       baseline.task_optimistic = &optimistic_exec_;
-      const ScheduleResult base_schedule = evaluate(baseline);
+      const ScheduleResult base_schedule =
+          evaluate(baseline, outcome.schedule);
       committed_tardiness = base_schedule.total_tardiness;
       committed_estimate = base_schedule.estimated_tardiness;
       committed_failures = base_schedule.placement_failures;
@@ -569,7 +578,7 @@ AllocationOutcome Allocator::run(const std::vector<Cluster>& clusters,
                              params_.boot_estimate,
                              params_.reboots_in_schedule);
       problem.task_optimistic = &optimistic_exec_;
-      ScheduleResult schedule = evaluate(problem);
+      ScheduleResult schedule = evaluate(problem, outcome.schedule);
       const bool power_ok =
           params_.power_cap_mw <= 0 ||
           candidates[i].arch.power_mw() <= params_.power_cap_mw;
@@ -622,7 +631,8 @@ AllocationOutcome Allocator::run(const std::vector<Cluster>& clusters,
     // Priorities shift once actual execution/communication times are known
     // (§5: recomputed after each allocation).
     levels = current_priority_levels(outcome.arch, flat_, lib_,
-                                     outcome.task_cluster);
+                                     outcome.task_cluster, default_task_time_,
+                                     default_edge_time_);
     refresh_cluster_priorities();
 
     if (params_.progress_hook) {
@@ -713,7 +723,7 @@ int Allocator::evacuate_devices(AllocationOutcome& outcome,
                              params_.boot_estimate,
                              params_.reboots_in_schedule);
       problem.task_optimistic = &optimistic_exec_;
-      ScheduleResult schedule = evaluate(problem);
+      ScheduleResult schedule = evaluate(problem, outcome.schedule);
       const bool acceptable =
           schedule.placement_failures <=
               outcome.schedule.placement_failures &&
@@ -810,7 +820,7 @@ void Allocator::repair(AllocationOutcome& outcome,
         trial, flat_, outcome.task_cluster, params_.boot_estimate,
         params_.reboots_in_schedule);
     problem.task_optimistic = &optimistic_exec_;
-    ScheduleResult schedule = evaluate(problem);
+    ScheduleResult schedule = evaluate(problem, outcome.schedule);
     if (std::getenv("CRUSADE_DEBUG"))
       std::fprintf(stderr, "[rewire] batch of %d: fail %d->%d\n",  // check-allow(C004): stderr debug aid, dead unless CRUSADE_DEBUG is set
                    rewired_count, outcome.schedule.placement_failures,
@@ -888,7 +898,7 @@ void Allocator::repair(AllocationOutcome& outcome,
                                outcome.task_cluster, params_.boot_estimate,
                                params_.reboots_in_schedule);
         problem.task_optimistic = &optimistic_exec_;
-        ScheduleResult schedule = evaluate(problem);
+        ScheduleResult schedule = evaluate(problem, outcome.schedule);
         const bool better =
             best < 0 ||
             schedule.placement_failures <

@@ -143,12 +143,15 @@ SchedProblem make_sched_problem(const Architecture& arch, const FlatSpec& flat,
                                 bool reboots_in_schedule = true);
 
 /// Priority levels from the current allocation state: allocated tasks/edges
-/// use actual times, the rest the worst-case defaults (§5).  Drives the
+/// use actual times, the rest the worst-case defaults `task_time` /
+/// `edge_time` (default_task_times / default_edge_times, §5).  Drives the
 /// outer loop's cluster ordering.
 PriorityLevels current_priority_levels(const Architecture& arch,
                                        const FlatSpec& flat,
                                        const ResourceLibrary& lib,
-                                       const std::vector<int>& task_cluster);
+                                       const std::vector<int>& task_cluster,
+                                       std::vector<TimeNs> task_time,
+                                       std::vector<TimeNs> edge_time);
 
 /// Canonical list-scheduling priorities: deadline-based levels from the
 /// worst-case (pre-allocation) time estimates.  Every scheduling call across
@@ -242,8 +245,11 @@ class Allocator {
                const std::vector<Cluster>& clusters) const;
 
   /// Budget-counted scheduling: every schedule evaluation in allocation,
-  /// repair and evacuation funnels through here.
-  ScheduleResult evaluate(const SchedProblem& problem);
+  /// repair and evacuation funnels through here, resuming from the
+  /// committed schedule's common prefix with the problem (a default-
+  /// constructed schedule before the first commit means from scratch).
+  ScheduleResult evaluate(const SchedProblem& problem,
+                          const ScheduleResult& committed);
   /// One gate for both truncation causes, polled wherever the search can
   /// stop refining: the evaluation budget (deterministic — a resumed run
   /// hits it at the same evaluation) and the anytime stop/deadline control
@@ -267,6 +273,10 @@ class Allocator {
   /// Minimum feasible execution time per task — the admissible estimate fed
   /// to the scheduler's finish-time estimation pass.
   std::vector<TimeNs> optimistic_exec_;
+  /// The specification's worst-case time estimates (default_task_times /
+  /// default_edge_times): constant for the allocator's lifetime.
+  std::vector<TimeNs> default_task_time_;
+  std::vector<TimeNs> default_edge_time_;
   /// Canonical list-scheduling priorities (see scheduling_levels()).
   PriorityLevels sched_levels_;
   /// Per-graph FPGA purity (§4.1) applies while modes are being formed

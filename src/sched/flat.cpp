@@ -45,6 +45,27 @@ FlatSpec::FlatSpec(const Specification& spec) : spec_(&spec) {
     for (int t : graph.topo_order()) topo_.push_back(task_base_[g] + t);
   }
   hyperperiod_ = crusade::hyperperiod(periods);
+
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](std::int64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= static_cast<std::uint64_t>(v >> (8 * byte)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  mix(task_count_);
+  mix(edge_count_);
+  for (int tid : topo_) mix(tid);
+  for (int tid = 0; tid < task_count_; ++tid) {
+    mix(period(tid));
+    mix(est(tid));
+    mix(absolute_deadline(tid));
+  }
+  for (int eid = 0; eid < edge_count_; ++eid) {
+    mix(edge_src_[eid]);
+    mix(edge_dst_[eid]);
+  }
+  fingerprint_ = h;
 }
 
 TimeNs FlatSpec::absolute_deadline(int tid) const {

@@ -4,6 +4,7 @@
 // space; (graph, local index) pairs remain recoverable for reporting.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "graph/specification.hpp"
@@ -59,6 +60,11 @@ class FlatSpec {
   /// Flat exclusion lists (within-graph exclusions mapped to flat ids).
   const std::vector<int>& exclusions(int tid) const { return excl_[tid]; }
 
+  /// FNV-1a over everything the list scheduler reads (adjacency, order,
+  /// periods, ESTs, deadlines): a schedule resumed against another
+  /// FlatSpec must see the same value.
+  std::uint64_t fingerprint() const { return fingerprint_; }
+
  private:
   const Specification* spec_;
   int task_count_ = 0;
@@ -69,6 +75,7 @@ class FlatSpec {
   std::vector<std::vector<int>> out_, in_, excl_;
   std::vector<int> topo_;
   TimeNs hyperperiod_ = 0;
+  std::uint64_t fingerprint_ = 0;
 };
 
 }  // namespace crusade

@@ -10,8 +10,14 @@
 // resources (ASICs, FPGA/CPLD modes, links) are strictly non-preemptive.
 // Reconfiguration boot time enters as a reboot pseudo-task placed at the
 // head of every mode of a multi-mode programmable device (§4.3).
+//
+// Incremental scheduling: every result records the problem that produced it
+// and the list positions at which its state grew.  Handed back as a base, it
+// lets a later call for a nearby problem restore the common prefix of the
+// two pop orders and place only the rest (DESIGN.md §7 item 12).
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "sched/flat.hpp"
@@ -33,6 +39,8 @@ struct SchedResourceInfo {
   /// Reconfiguration time per mode; empty for modeless resources, all-zero
   /// for single-mode programmable devices (configured once at power-up).
   std::vector<TimeNs> mode_boot;
+
+  bool operator==(const SchedResourceInfo&) const = default;
 };
 
 struct SchedProblem {
@@ -47,6 +55,49 @@ struct SchedProblem {
   /// allocated, used by the longest-path finish-time estimation pass (§5).
   /// Optional; no estimation happens without it.
   const std::vector<TimeNs>* task_optimistic = nullptr;
+
+  bool operator==(const SchedProblem&) const = default;
+};
+
+/// What a later run_list_scheduler call needs to resume from a schedule:
+/// the problem and levels that produced it, copied so a base is never
+/// judged against a problem it was not built from and holds no pointer,
+/// and the list positions at which the schedule's state grew.  Timelines
+/// only grow in list order, so the state before any position is a
+/// per-resource truncation plus the counters recorded there.
+struct ScheduleRecord {
+  /// The problem, with `flat` and `task_optimistic` cleared.
+  SchedProblem problem;
+  std::uint64_t flat_fingerprint = 0;  ///< FlatSpec::fingerprint()
+  std::vector<double> levels;          ///< PriorityLevels::task used
+
+  /// One entry per list position: the task popped there and the state
+  /// counters before the pop; a closing entry (tid -1) holds the final
+  /// counters.
+  struct Step {
+    int tid = -1;
+    int appends = 0;  ///< timeline appends so far
+    int failures = 0;
+    int failed_edges = 0;
+    int scheduled = 0;
+    TimeNs tardiness = 0;
+    bool operator==(const Step&) const = default;
+  };
+  std::vector<Step> steps;
+  std::vector<int> appends;  ///< resource of every timeline append, in order
+  /// Every settled (resource, mode) reboot, with the position that settled
+  /// it; `finish` is 0 when the reboot found no room.
+  struct Reboot {
+    int step = 0;
+    int resource = 0;
+    int mode = 0;
+    TimeNs finish = 0;
+    bool operator==(const Reboot&) const = default;
+  };
+  std::vector<Reboot> reboots;
+
+  bool empty() const { return steps.empty(); }
+  bool operator==(const ScheduleRecord&) const = default;
 };
 
 struct ScheduleResult {
@@ -65,14 +116,32 @@ struct ScheduleResult {
   std::vector<int> failed_edges;
   int scheduled_tasks = 0;
   bool feasible = false;  ///< all schedulable tasks placed, no tardiness
+  ScheduleRecord record;  ///< resume record (see run_list_scheduler)
 
   bool deadline_met(int tid, const FlatSpec& flat) const;
+  bool operator==(const ScheduleResult&) const = default;
 };
 
 /// Runs the list scheduler; tasks whose ancestry is not fully allocated are
 /// skipped (their deadlines cannot be judged yet).
+///
+/// With a `base` (a result of an earlier call over the same FlatSpec and
+/// levels; a default-constructed result counts as none) the call resumes:
+/// it finds the first list position where `problem` can behave differently
+/// from the base's problem, restores the base's state before it, and places
+/// only the remaining tasks.  The result, resume record included, equals a
+/// call without a base.  The divergence point is the earliest of:
+///  - the first pop of a task whose resource, mode or exec time changed, or
+///    that is no longer schedulable;
+///  - the first pop of a task whose resource's SchedResourceInfo changed;
+///  - the first pop of the destination of an edge whose link or comm time
+///    changed;
+///  - the first position where a newly schedulable task outranks the
+///    base's pop.
+/// Resources compare by index, so inserting one changes every later one.
 ScheduleResult run_list_scheduler(const SchedProblem& problem,
-                                  const PriorityLevels& levels);
+                                  const PriorityLevels& levels,
+                                  const ScheduleResult* base = nullptr);
 
 /// Busy windows per task graph (tasks and edges), used to derive the
 /// compatibility matrix from a schedule (Figure 3).

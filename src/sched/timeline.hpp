@@ -10,6 +10,7 @@
 // execute simultaneously.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "util/periodic.hpp"
@@ -24,9 +25,16 @@ class Timeline {
     TimeNs work = 0;      ///< pure execution demand inside the span
     int mode = -1;   ///< PPE reconfiguration mode, -1 = modeless resource
     int owner = -1;  ///< flat task/edge id or synthetic reboot id
+    bool operator==(const Window&) const = default;
   };
 
   void clear() { windows_.clear(); }
+  /// Becomes the first `count` windows of `from` (a schedule restore).
+  void assign_prefix(const Timeline& from, std::size_t count) {
+    windows_.assign(from.windows_.begin(),
+                    from.windows_.begin() +
+                        static_cast<std::ptrdiff_t>(count));
+  }
   void reserve(std::size_t n) { windows_.reserve(n); }
   const std::vector<Window>& windows() const { return windows_; }
 
@@ -64,6 +72,8 @@ class Timeline {
   /// Total long-run utilization of the resource (sum of length/period over
   /// windows, counting each mode separately).
   double utilization() const;
+
+  bool operator==(const Timeline&) const = default;
 
  private:
   bool conflicts_mode(int a, int b) const {

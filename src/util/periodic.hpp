@@ -29,6 +29,7 @@ struct PeriodicWindow {
 
   TimeNs length() const { return finish - start; }
   bool empty() const { return finish <= start; }
+  bool operator==(const PeriodicWindow&) const = default;
 };
 
 /// Exact test: do the two periodic windows ever intersect?

@@ -33,6 +33,9 @@
 #      driven by a `crusade submit` loop — races between the supervisor,
 #      workers, and socket handlers surface here, not in the
 #      single-threaded suites
+#  15. benchmark paper totals + smoke: `crusade_bench/run.py --paper`
+#      reproduces seed 1 of Tables 2-3 exactly (cost, evaluations,
+#      infeasible count), then `--smoke` runs every workload once
 #
 # Every stage reports OK or an explicit "SKIPPED (<missing tool>)" line and
 # lands in the final summary table.  Nothing is ever skipped silently.
@@ -559,3 +562,17 @@ for pid in "${tsan_clients[@]}"; do wait "$pid"; done
 wait "$tsan_daemon"
 echo "serve smoke: 40 concurrent jobs served under TSan, daemon drained clean"
 stage_ok
+
+stage "benchmark paper totals + smoke (crusade_bench)"
+# run.py --paper synthesizes seed 1 of Table 2 at 0.10x, B192G at 0.25x and
+# Table 3 at 0.10x and exits non-zero unless each total reproduces exactly
+# (Table 2: $40952, 25625 evaluations; B192G: $22469, 15281; Table 3:
+# $43224, 16116, 1 infeasible) — the bit-identity guard at sizes the test
+# suite never reaches.  --smoke runs every workload for one second.
+if command -v python3 >/dev/null 2>&1; then
+  python3 crusade_bench/run.py --paper
+  python3 crusade_bench/run.py --smoke
+  stage_ok
+else
+  stage_skip "no python3 for crusade_bench/run.py"
+fi
