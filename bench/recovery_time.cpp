@@ -2,17 +2,20 @@
 // grows — the boot-time cost of the durability machinery (DESIGN.md §17).
 //
 // For each population size the bench builds a realistic dirty spool (N
-// terminal jobs in the durable result store + M parked frames a hard stop
-// left queued), SIGKILL-shapes the daemon away, and then times the two
-// phases a restart actually pays for:
+// terminal job records + M queued records a hard stop left parked),
+// SIGKILL-shapes the daemon away, and then times the two phases a restart
+// actually pays for:
 //
-//   * fsck_spool in classify-only mode — journal replay + full spool scan;
-//   * Service construction — fsck with repair, recovery, ledger recount.
+//   * fsck_spool in classify-only mode — one scan of the whole spool;
+//   * Service construction — the same scan with repair, then installing
+//     what it verified.
 //
 // The honesty gate makes the numbers mean something: after every timed
 // boot, all N terminal answers must be back (results_recovered) and all M
-// parked frames re-admitted or reconciled — a fast boot that lost work
-// would be worse than a slow one.  Scale populations with CRUSADE_SCALE.
+// parked jobs re-admitted — a fast boot that lost work would be worse than
+// a slow one.  Scale populations with CRUSADE_SCALE.
+//
+//   recovery_time [output.json]     (default: BENCH_recovery.json)
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -33,12 +36,12 @@ using namespace crusade;
 namespace {
 
 struct RecoveryPoint {
-  int terminal = 0;   ///< durable results on disk at boot
-  int parked = 0;     ///< spooled frames awaiting re-admission
+  int terminal = 0;   ///< terminal records on disk at boot
+  int parked = 0;     ///< queued records awaiting re-admission
   double fsck_ms = 0;       ///< classify-only scrub of the dirty spool
-  double recover_ms = 0;    ///< full Service boot: fsck + replay + recount
+  double recover_ms = 0;    ///< full Service boot: scan + install
   long long results_recovered = 0;
-  long long frames_recovered = 0;  ///< re-admitted + reconciled
+  long long frames_recovered = 0;  ///< queued records re-admitted
   long long disk_bytes = 0;
   bool honest = false;
 };
@@ -93,7 +96,7 @@ RecoveryPoint run_point(const std::string& base_spec, int terminal,
   }
 
   // Second incarnation with workers held: the parked submissions spool but
-  // never run, so the hard stop leaves exactly M frames for recovery.
+  // never run, so the hard stop leaves exactly M queued records.
   {
     serve::ServiceConfig paused = config;
     paused.start_paused = true;
@@ -110,7 +113,7 @@ RecoveryPoint run_point(const std::string& base_spec, int terminal,
         std::exit(1);
       }
     }
-    service.stop(false);  // hard stop: the parked frames stay spooled
+    service.stop(false);  // hard stop: the parked records stay queued
   }
 
   // --- phase 1: classify-only fsck over the dirty spool ------------------
@@ -130,8 +133,7 @@ RecoveryPoint run_point(const std::string& base_spec, int terminal,
     point.recover_ms = ms_since(started);
     const serve::ServiceStats stats = service.stats();
     point.results_recovered = stats.results_recovered;
-    point.frames_recovered =
-        service.recovered_jobs() + stats.spool_reconciled;
+    point.frames_recovered = service.recovered_jobs();
     point.honest = point.results_recovered == terminal &&
                    point.frames_recovered == parked;
     service.stop(false);
@@ -142,7 +144,8 @@ RecoveryPoint run_point(const std::string& base_spec, int terminal,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const char* out_path = argc > 1 ? argv[1] : "BENCH_recovery.json";
   const double scale = bench::workload_scale(0.25);
   const ResourceLibrary lib = telecom_1999();
   std::ostringstream spec_stream;
@@ -156,9 +159,9 @@ int main() {
   for (const int n : populations)
     points.push_back(run_point(spec, n, n / 4 + 1, index++));
 
-  std::FILE* json = std::fopen("BENCH_recovery.json", "w");
+  std::FILE* json = std::fopen(out_path, "w");
   if (!json) {
-    std::fprintf(stderr, "cannot open BENCH_recovery.json for writing\n");
+    std::fprintf(stderr, "cannot open %s for writing\n", out_path);
     return 1;
   }
   bool honest = true;
@@ -195,7 +198,7 @@ int main() {
         "%lld results + %lld frames back, %lld bytes scanned%s\n",
         p.terminal, p.parked, p.fsck_ms, p.recover_ms, p.results_recovered,
         p.frames_recovered, p.disk_bytes, p.honest ? "" : "  [DISHONEST]");
-  std::printf("wrote BENCH_recovery.json\n");
+  std::printf("wrote %s\n", out_path);
 
   if (!honest) {
     std::fprintf(stderr, "recovery books do not balance\n");

@@ -10,10 +10,13 @@
 // to terminal, excluding client transport).  Cache-hit latency is measured
 // client-side around submit(), since hits never enqueue.  Scale job counts
 // with CRUSADE_SCALE.
+//
+//   serve_load [output.json]     (default: BENCH_serve.json)
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -99,7 +102,8 @@ SweepPoint sweep(serve::Service& service, const std::string& base_spec,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const char* out_path = argc > 1 ? argv[1] : "BENCH_serve.json";
   const double scale = bench::workload_scale(0.25);
   const ResourceLibrary lib = telecom_1999();
   std::ostringstream spec_stream;
@@ -108,6 +112,9 @@ int main() {
 
   serve::ServiceConfig config;
   config.spool_dir = "/tmp/crusaded.bench.spool";
+  // A spool left by an earlier run would serve this run's jobs from its
+  // cache and skew every number below.
+  (void)std::system(("rm -rf " + config.spool_dir).c_str());
   config.workers = 4;
   config.queue_capacity = 64;
   serve::Service service(config);
@@ -224,9 +231,9 @@ int main() {
                                 agrees(daemon_run_p50, client_run_p50) &&
                                 agrees(daemon_run_p99, client_run_p99);
 
-  std::FILE* json = std::fopen("BENCH_serve.json", "w");
+  std::FILE* json = std::fopen(out_path, "w");
   if (!json) {
-    std::fprintf(stderr, "cannot open BENCH_serve.json for writing\n");
+    std::fprintf(stderr, "cannot open %s for writing\n", out_path);
     return 1;
   }
   std::fprintf(json,
@@ -302,7 +309,7 @@ int main() {
               hint_min, hint_max, overload_max_tries,
               hints_sane ? "hints sane" : "HINTS INSANE",
               converged ? "converged" : "DID NOT CONVERGE");
-  std::printf("wrote BENCH_serve.json\n");
+  std::printf("wrote %s\n", out_path);
 
   // Honesty check: every admitted job must have completed, and every
   // submission must be accounted for as completed or busy-rejected.

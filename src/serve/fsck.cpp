@@ -3,14 +3,14 @@
 #include <dirent.h>
 #include <sys/stat.h>
 #include <sys/types.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
-#include <map>
 #include <set>
 
 #include "ckpt/serialize.hpp"
-#include "serve/durable.hpp"
 #include "serve/protocol.hpp"
 #include "util/atomic_file.hpp"
 #include "util/disk_format.hpp"
@@ -21,6 +21,11 @@
 namespace crusade::serve {
 
 namespace {
+
+/// Reads per file before it is reported unreadable: a transient EIO gets
+/// this many chances, because quarantining a healthy record would destroy
+/// an answer.
+constexpr int kReadTries = 4;
 
 std::vector<std::string> scan_dir(const std::string& path) {
   std::vector<std::string> names;
@@ -33,16 +38,6 @@ std::vector<std::string> scan_dir(const std::string& path) {
   ::closedir(dir);
   std::sort(names.begin(), names.end());
   return names;
-}
-
-void make_dir_quiet(const std::string& path) {
-  (void)::mkdir(path.c_str(), 0755);
-}
-
-long long file_size(const std::string& path) {
-  struct stat st;
-  if (::stat(path.c_str(), &st) != 0) return 0;
-  return static_cast<long long>(st.st_size);
 }
 
 bool ends_with(const std::string& s, const std::string& suffix) {
@@ -66,74 +61,69 @@ bool is_hex16_res(const std::string& name) {
   return true;
 }
 
-/// Journal-visible lifecycle of one job id, folded from replay.
-struct JournalState {
-  bool admitted = false;
-  bool terminal = false;
-  bool evicted = false;
-  JournalRecord term;  ///< last Terminal record (kind/outcome/fnv)
-  std::uint8_t kind = 0;
-};
-
-std::string tombstone_body(std::uint8_t kind, const char* klass,
-                           const std::string& message, int attempts) {
-  const std::uint8_t max_kind =
-      static_cast<std::uint8_t>(JobKind::Survive);
-  const JobKind k =
-      kind <= max_kind ? static_cast<JobKind>(kind) : JobKind::Run;
-  tools::JsonWriter w;
-  w.begin_object()
-      .key("kind").value(to_string(k))
-      .key("error").value(message)
-      .key("error_class").value(klass)
-      .key("attempts").value(attempts)
-      .end_object();
-  return w.str();
+/// Files a whole jobs/<id>.job record as queued or terminal; false when the
+/// bytes are not a record for `id`.
+bool file_record(const std::string& raw, std::uint64_t id, SpoolScan* scan) {
+  try {
+    if (raw.compare(0, 4, kDurableResultMagic, 4) == 0) {
+      DurableResult result = decode_durable_result(
+          diskfmt::unframe(raw, kDurableResultMagic, kDurableResultVersion)
+              .payload);
+      if (result.id != id) return false;
+      scan->terminal.push_back(std::move(result));
+      return true;
+    }
+    const Request frame = decode_frame(
+        diskfmt::unframe(raw, kSpoolJobMagic, kSpoolJobVersion).payload);
+    if (frame.verb != "JOB" ||
+        static_cast<std::uint64_t>(frame.get_long("id")) != id)
+      return false;
+    scan->queued.emplace_back(id, parse_submit_request(frame));
+    return true;
+  } catch (const Error&) {
+    return false;
+  }
 }
 
-/// Stateful helper so every repair records its outcome uniformly and a
+/// The stand-in answer for a job whose record is corrupt.  The kind cannot
+/// be read from corrupt bytes, so the tombstone keeps the default (run).
+DurableResult lost_job_tombstone(std::uint64_t id) {
+  DurableResult tomb;
+  tomb.id = id;
+  tomb.outcome = JobOutcome::FailedHonest;
+  tomb.detail =
+      "job record corrupt (torn write or bit rot); kept as .corrupt "
+      "evidence, failed-honest tombstone written by fsck";
+  tomb.body = failure_body(tomb.kind, "fsck-lost-job", tomb.detail, 0);
+  return tomb;
+}
+
+/// Stateful helper so every verdict and repair is recorded uniformly and a
 /// chaos-refused repair degrades to "repair-failed", never a throw.
 class Scrub {
  public:
-  Scrub(std::string spool, bool repair, FsckReport* report)
-      : spool_(std::move(spool)), repair_(repair), report_(report) {}
-
-  const std::string& spool() const { return spool_; }
-  bool repairing() const { return repair_; }
+  Scrub(bool repair, SpoolScan* scan) : repair_(repair), scan_(scan) {}
 
   FsckItem& add(FsckFinding finding, std::uint64_t id,
-                const std::string& path) {
+                const std::string& path, long long bytes) {
     FsckItem item;
     item.finding = finding;
     item.id = id;
     item.path = path;
-    item.bytes = file_size(path);
+    item.bytes = bytes;
     item.action = "detected";
-    report_->items.push_back(std::move(item));
-    return report_->items.back();
+    scan_->report.items.push_back(std::move(item));
+    return scan_->report.items.back();
   }
 
   void did_repair(FsckItem& item, const std::string& action) {
     item.action = action;
-    ++report_->repairs;
+    ++scan_->report.repairs;
   }
 
   void failed(FsckItem& item, const std::string& what) {
     item.action = "repair-failed: " + what;
-    ++report_->repair_failures;
-  }
-
-  /// rename aside as evidence; true when the rename stuck.
-  bool quarantine(FsckItem& item) {
-    if (!repair_) return false;
-    const std::string to = item.path + ".corrupt";
-    if (iofault::xrename(item.path.c_str(), to.c_str()) == 0) {
-      did_repair(item, "quarantined");
-      ++report_->quarantines;
-      return true;
-    }
-    failed(item, "rename to " + to + ": " + errno_message(errno));
-    return false;
+    ++scan_->report.repair_failures;
   }
 
   bool remove(FsckItem& item) {
@@ -146,25 +136,103 @@ class Scrub {
     return false;
   }
 
+  /// Adds the regular file at `path`, if there is one, to the ledger,
+  /// flagged as drift when no artifact pattern explains it.
+  void charge(const std::string& path, bool attributable) {
+    struct stat st;
+    if (::stat(path.c_str(), &st) != 0 || !S_ISREG(st.st_mode)) return;
+    const long long bytes = static_cast<long long>(st.st_size);
+    scan_->files.emplace_back(path, bytes);
+    scan_->report.disk_bytes += bytes;
+    if (!attributable)
+      add(FsckFinding::LedgerDrift, 0, path, bytes).action = "charged";
+  }
+
+  /// A file that is no record or cache entry: temp debris is removed,
+  /// everything else is charged.
+  void sweep(const std::string& dir, const std::string& name,
+             bool attributable) {
+    const std::string path = dir + "/" + name;
+    struct stat st;
+    if (::stat(path.c_str(), &st) != 0 || !S_ISREG(st.st_mode)) return;
+    if (name.find(".tmp.") != std::string::npos) {
+      FsckItem& item = add(FsckFinding::TempDebris, 0, path,
+                           static_cast<long long>(st.st_size));
+      if (!remove(item)) charge(path, true);
+      return;
+    }
+    charge(path, attributable);
+  }
+
+  /// read_file with kReadTries chances; a file still unreadable is
+  /// reported and left in place.
+  bool read(const std::string& path, std::uint64_t id, std::string* raw) {
+    std::string why;
+    for (int i = 0; i < kReadTries; ++i) {
+      try {
+        *raw = read_file(path);
+        return true;
+      } catch (const Error& e) {
+        why = e.what();
+      }
+    }
+    struct stat st;
+    const long long bytes =
+        ::stat(path.c_str(), &st) == 0 ? static_cast<long long>(st.st_size)
+                                       : 0;
+    FsckItem& item = add(FsckFinding::UnreadableFile, id, path, bytes);
+    item.action = (repair_ ? "left in place: " : "detected: ") + why;
+    charge(path, true);
+    return false;
+  }
+
+  /// One jobs/<id>.job record.  A corrupt one is copied to .corrupt
+  /// evidence first and only then replaced by its tombstone, so a failure
+  /// at either step leaves the record in place for the next scrub.  An
+  /// existing evidence file is never overwritten (the listing charges it).
+  void record(const std::string& path, std::uint64_t id) {
+    std::string raw;
+    if (!read(path, id, &raw)) return;
+    if (file_record(raw, id, scan_)) {
+      charge(path, true);
+      return;
+    }
+    FsckItem& item = add(FsckFinding::CorruptSpoolEntry, id, path,
+                         static_cast<long long>(raw.size()));
+    const DurableResult tomb = lost_job_tombstone(id);
+    scan_->terminal.push_back(tomb);
+    if (repair_) {
+      const std::string evidence = path + ".corrupt";
+      struct stat st;
+      const bool kept = ::stat(evidence.c_str(), &st) == 0;
+      try {
+        if (!kept)
+          diskfmt::write_framed_file(evidence, kEvidenceMagic,
+                                     kEvidenceVersion, raw);
+        diskfmt::write_framed_file(path, kDurableResultMagic,
+                                   kDurableResultVersion,
+                                   encode_durable_result(tomb));
+        did_repair(item, "quarantined");
+        ++scan_->report.quarantines;
+      } catch (const Error& e) {
+        failed(item, e.what());
+      }
+      if (!kept) charge(evidence, true);
+    }
+    charge(path, true);
+  }
+
  private:
-  std::string spool_;
   bool repair_;
-  FsckReport* report_;
+  SpoolScan* scan_;
 };
 
 }  // namespace
 
 const char* to_string(FsckFinding finding) {
   switch (finding) {
-    case FsckFinding::TornJournalTail: return "torn-journal-tail";
-    case FsckFinding::CorruptJournal: return "corrupt-journal";
     case FsckFinding::CorruptSpoolEntry: return "corrupt-spool-entry";
-    case FsckFinding::OrphanSpoolEntry: return "orphan-spool-entry";
-    case FsckFinding::StaleSpoolEntry: return "stale-spool-entry";
-    case FsckFinding::CorruptResult: return "corrupt-result";
-    case FsckFinding::OrphanResult: return "orphan-result";
-    case FsckFinding::MissingResult: return "missing-result";
-    case FsckFinding::LostSpoolEntry: return "lost-spool-entry";
+    case FsckFinding::UnreadableFile: return "unreadable-file";
     case FsckFinding::CorruptCacheEntry: return "corrupt-cache-entry";
     case FsckFinding::TempDebris: return "temp-debris";
     case FsckFinding::LedgerDrift: return "ledger-drift";
@@ -187,7 +255,6 @@ std::string FsckReport::to_json() const {
       .key("repairs").value(repairs)
       .key("quarantines").value(quarantines)
       .key("repair_failures").value(repair_failures)
-      .key("journal_records").value(static_cast<long long>(journal_records))
       .key("disk_bytes").value(disk_bytes)
       .key("counts").begin_object();
   for (unsigned f = 0; f < kFsckFindingCount; ++f) {
@@ -209,324 +276,92 @@ std::string FsckReport::to_json() const {
   return w.str();
 }
 
-FsckReport fsck_spool(const std::string& spool_dir, bool repair) {
-  FsckReport report;
-  Scrub scrub(spool_dir, repair, &report);
-  make_dir_quiet(spool_dir);
+SpoolScan scan_spool(const std::string& spool_dir, bool repair) {
+  SpoolScan scan;
+  Scrub scrub(repair, &scan);
   const std::string jobs_dir = spool_dir + "/jobs";
   const std::string cache_dir = spool_dir + "/cache";
+  for (const std::string& dir : {spool_dir, jobs_dir, cache_dir})
+    (void)::mkdir(dir.c_str(), 0755);
+
+  // A spool written by the journal layout keeps terminal answers in
+  // results/<id>.res, which are CRES records already: each moves over its
+  // job's record (superseding a queued frame that layout could leave
+  // behind), and the journal goes — everything it knew is in these files.
+  // An answer that cannot move yet is read where it is.
   const std::string results_dir = spool_dir + "/results";
   const std::string journal_dir = spool_dir + "/journal";
-  for (const std::string& dir :
-       {jobs_dir, cache_dir, results_dir, journal_dir})
-    make_dir_quiet(dir);
-  const std::string journal_path = journal_dir + "/wal";
-
-  // --- 1. journal: replay the valid prefix, repair the tail -------------
-  JournalReplay replayed = Journal::replay(journal_path);
-  report.journal_records = replayed.records.size();
-  if (!replayed.missing && !replayed.header_error.empty()) {
-    FsckItem& item =
-        scrub.add(FsckFinding::CorruptJournal, 0, journal_path);
-    item.action = "detected: " + replayed.header_error;
-    if (repair) {
-      if (Journal::rewrite(journal_path, {}))
-        scrub.did_repair(item, "rebuilt empty (spool + results re-adopted "
-                               "below)");
-      else
-        scrub.failed(item, "rewrite: " + errno_message(errno));
-    }
-    replayed.records.clear();
-  } else if (replayed.torn_tail) {
-    FsckItem& item =
-        scrub.add(FsckFinding::TornJournalTail, 0, journal_path);
-    if (repair) {
-      if (Journal::truncate_tail(journal_path, replayed.valid_bytes))
-        scrub.did_repair(item, "truncated at byte " +
-                                   std::to_string(replayed.valid_bytes));
-      else
-        scrub.failed(item, "truncate: " + errno_message(errno));
-    }
-  }
-
-  std::map<std::uint64_t, JournalState> journal_state;
-  for (const JournalRecord& rec : replayed.records) {
-    JournalState& state = journal_state[rec.id];
-    switch (rec.type) {
-      case JournalRecordType::Admitted:
-        state.admitted = true;
-        state.kind = rec.kind;
-        break;
-      case JournalRecordType::AttemptStarted:
-        break;
-      case JournalRecordType::Terminal:
-        state.terminal = true;
-        state.evicted = false;
-        state.term = rec;
-        state.kind = rec.kind;
-        break;
-      case JournalRecordType::ResultEvicted:
-        state.evicted = true;
-        break;
-    }
-  }
-
-  // Records fsck itself must append (adoptions, tombstone terminals).
-  std::vector<JournalRecord> adoptions;
-
-  // --- 2. durable results: CRC + journal fingerprint --------------------
-  std::set<std::uint64_t> valid_results;
+  std::set<std::uint64_t> answered;
   for (const std::string& name : scan_dir(results_dir)) {
-    if (!ends_with(name, ".res")) continue;
     const std::uint64_t id = leading_id(name);
+    scan.max_id = std::max(scan.max_id, id);
     const std::string path = results_dir + "/" + name;
-    if (id == 0) continue;  // classified by the recount sweep below
-    std::string raw;
-    bool whole = false;
-    DurableResult result;
-    try {
-      raw = read_file(path);
-      result = decode_durable_result(
-          diskfmt::unframe(raw, kDurableResultMagic, kDurableResultVersion)
-              .payload);
-      whole = result.id == id;
-    } catch (const Error&) {
-      whole = false;
-    }
-    const auto js = journal_state.find(id);
-    const bool have_terminal = js != journal_state.end() && js->second.terminal;
-    if (!whole) {
-      FsckItem& item = scrub.add(FsckFinding::CorruptResult, id, path);
-      scrub.quarantine(item);
-      continue;
-    }
-    const std::uint64_t fnv = ckpt::fnv1a(raw);
-    if (have_terminal && js->second.term.result_fnv != 0 &&
-        js->second.term.result_fnv != fnv) {
-      FsckItem& item = scrub.add(FsckFinding::CorruptResult, id, path);
-      item.action = "detected: journal fingerprint mismatch";
-      scrub.quarantine(item);
-      continue;
-    }
-    valid_results.insert(id);
-    if (!have_terminal) {
-      // The result file is the truth the journal lost (crash between the
-      // result write and the terminal append): adopt it.
-      FsckItem& item = scrub.add(FsckFinding::OrphanResult, id, path);
-      if (repair) {
-        JournalRecord rec;
-        rec.type = JournalRecordType::Terminal;
-        rec.id = id;
-        rec.kind = static_cast<std::uint8_t>(result.kind);
-        rec.outcome = static_cast<std::uint8_t>(result.outcome);
-        rec.attempts = static_cast<std::uint32_t>(
-            result.attempts < 0 ? 0 : result.attempts);
-        rec.result_fnv = fnv;
-        adoptions.push_back(rec);
-        scrub.did_repair(item, "adopted");
-      }
-      JournalState& state = journal_state[id];
-      state.terminal = true;
-      state.evicted = false;
-      state.kind = static_cast<std::uint8_t>(result.kind);
+    const std::string record = jobs_dir + "/" + std::to_string(id) + ".job";
+    if (id == 0 || !ends_with(name, ".res")) {
+      scrub.sweep(results_dir, name, id != 0);
+    } else if (!repair ||
+               iofault::xrename(path.c_str(), record.c_str()) != 0) {
+      scrub.record(path, id);
+      answered.insert(id);
     }
   }
+  for (const std::string& name : scan_dir(journal_dir)) {
+    const std::string path = journal_dir + "/" + name;
+    if (!repair || iofault::xunlink(path.c_str()) != 0)
+      scrub.sweep(journal_dir, name, false);
+  }
+  if (repair) {
+    (void)::rmdir(journal_dir.c_str());
+    (void)::rmdir(results_dir.c_str());
+  }
 
-  // --- 3. job spool: frame validity, staleness, journal membership ------
-  std::set<std::uint64_t> live_jobs;
+  // Job records and their per-attempt scratch (.ckpt, .result, .trace.N,
+  // .flight.N, .corrupt evidence) all carry the job id in their name.
   for (const std::string& name : scan_dir(jobs_dir)) {
-    if (!ends_with(name, ".job")) continue;
-    const std::string path = jobs_dir + "/" + name;
-    std::uint64_t id = 0;
-    std::string raw;
-    try {
-      raw = read_file(path);
-      const Request frame = decode_frame(
-          diskfmt::unframe(raw, kSpoolJobMagic, kSpoolJobVersion).payload);
-      if (frame.verb != "JOB") throw Error("spool: not a JOB frame");
-      id = static_cast<std::uint64_t>(frame.get_long("id"));
-      if (id == 0) throw Error("spool: bad id");
-    } catch (const Error&) {
-      FsckItem& item = scrub.add(FsckFinding::CorruptSpoolEntry, id, path);
-      scrub.quarantine(item);
-      continue;
-    }
-    if (valid_results.count(id) != 0 ||
-        (journal_state.count(id) != 0 && journal_state[id].terminal)) {
-      // The job already finished; a leftover frame re-admitted would
-      // execute it a second time.
-      FsckItem& item = scrub.add(FsckFinding::StaleSpoolEntry, id, path);
-      if (scrub.remove(item)) {
-        // Its worker scratch is stale with it (telemetry stays: traces of
-        // retained terminal jobs are queryable on purpose).
-        const std::string stem = jobs_dir + "/" + std::to_string(id);
-        (void)iofault::xunlink((stem + ".ckpt").c_str());
-        (void)iofault::xunlink((stem + ".result").c_str());
-      }
-      continue;
-    }
-    live_jobs.insert(id);
-    if (journal_state.count(id) == 0 || !journal_state[id].admitted) {
-      FsckItem& item = scrub.add(FsckFinding::OrphanSpoolEntry, id, path);
-      if (repair) {
-        JournalRecord rec;
-        rec.type = JournalRecordType::Admitted;
-        rec.id = id;
-        rec.spec_fnv = ckpt::fnv1a(raw);
-        adoptions.push_back(rec);
-        scrub.did_repair(item, "adopted");
-      }
-      journal_state[id].admitted = true;
-    }
+    const std::uint64_t id = leading_id(name);
+    scan.max_id = std::max(scan.max_id, id);
+    if (id != 0 && ends_with(name, ".job") && answered.count(id) == 0)
+      scrub.record(jobs_dir + "/" + name, id);
+    else
+      scrub.sweep(jobs_dir, name, id != 0);
   }
 
-  // --- 4. journal promises with nothing behind them ---------------------
-  for (auto& [id, state] : journal_state) {
-    if (state.terminal && !state.evicted && valid_results.count(id) == 0) {
-      // The terminal bytes are gone (lost write, quarantined above).  An
-      // honest tombstone beats both silence and fabrication.
-      const std::string path =
-          results_dir + "/" + std::to_string(id) + ".res";
-      FsckItem& item = scrub.add(FsckFinding::MissingResult, id, path);
-      if (repair) {
-        DurableResult tomb;
-        tomb.id = id;
-        tomb.kind = state.kind <= static_cast<std::uint8_t>(JobKind::Survive)
-                        ? static_cast<JobKind>(state.kind)
-                        : JobKind::Run;
-        tomb.outcome = JobOutcome::FailedHonest;
-        tomb.attempts = static_cast<int>(state.term.attempts);
-        tomb.detail =
-            std::string("durable result lost; journal recorded outcome ") +
-            "\"" +
-            to_string(state.term.outcome <=
-                              static_cast<std::uint8_t>(JobOutcome::Cancelled)
-                          ? static_cast<JobOutcome>(state.term.outcome)
-                          : JobOutcome::None) +
-            "\" but the result file is gone (tombstone written by fsck)";
-        tomb.body = tombstone_body(state.kind, "fsck-result-lost",
-                                   tomb.detail, tomb.attempts);
-        try {
-          diskfmt::write_framed_file(path, kDurableResultMagic,
-                                     kDurableResultVersion,
-                                     encode_durable_result(tomb));
-          scrub.did_repair(item, "tombstone");
-          valid_results.insert(id);
-          JournalRecord rec = state.term;
-          rec.type = JournalRecordType::Terminal;
-          rec.id = id;
-          rec.outcome = static_cast<std::uint8_t>(JobOutcome::FailedHonest);
-          rec.result_fnv = 0;
-          adoptions.push_back(rec);
-        } catch (const Error& e) {
-          scrub.failed(item, e.what());
-        }
-      }
-    } else if (state.admitted && !state.terminal &&
-               live_jobs.count(id) == 0 && valid_results.count(id) == 0) {
-      // Admitted, never finished, and the spool frame is gone (torn write
-      // quarantined, or injected unlink ate it): the work is lost and the
-      // client deserves to hear that from status(), not a not-found.
-      const std::string path =
-          results_dir + "/" + std::to_string(id) + ".res";
-      FsckItem& item = scrub.add(FsckFinding::LostSpoolEntry, id, path);
-      if (repair) {
-        DurableResult tomb;
-        tomb.id = id;
-        tomb.kind = state.kind <= static_cast<std::uint8_t>(JobKind::Survive)
-                        ? static_cast<JobKind>(state.kind)
-                        : JobKind::Run;
-        tomb.outcome = JobOutcome::FailedHonest;
-        tomb.detail =
-            "spool entry lost before execution (quarantined or missing); "
-            "failed-honest tombstone written by fsck";
-        tomb.body = tombstone_body(state.kind, "fsck-lost-job", tomb.detail,
-                                   0);
-        try {
-          diskfmt::write_framed_file(path, kDurableResultMagic,
-                                     kDurableResultVersion,
-                                     encode_durable_result(tomb));
-          scrub.did_repair(item, "tombstone");
-          valid_results.insert(id);
-          JournalRecord rec;
-          rec.type = JournalRecordType::Terminal;
-          rec.id = id;
-          rec.kind = state.kind;
-          rec.outcome = static_cast<std::uint8_t>(JobOutcome::FailedHonest);
-          adoptions.push_back(rec);
-        } catch (const Error& e) {
-          scrub.failed(item, e.what());
-        }
-      }
-    }
-  }
-
-  // --- 5. result cache: advisory, so corrupt entries are just removed ---
+  // The result cache is advisory: a corrupt entry is simply removed.
   for (const std::string& name : scan_dir(cache_dir)) {
-    if (!ends_with(name, ".res") || !is_hex16_res(name)) continue;
+    if (!is_hex16_res(name)) {
+      scrub.sweep(cache_dir, name, false);
+      continue;
+    }
     const std::string path = cache_dir + "/" + name;
+    std::string raw;
+    if (!scrub.read(path, 0, &raw)) continue;
     try {
-      const diskfmt::Unframed entry = diskfmt::read_framed_file(
-          path, kCacheEntryMagic, kCacheEntryVersion);
-      ckpt::BinReader r(entry.payload);
-      (void)r.u64();  // cost_ms
-      (void)r.str();  // body
+      const diskfmt::Unframed frame =
+          diskfmt::unframe(raw, kCacheEntryMagic, kCacheEntryVersion);
+      ckpt::BinReader r(frame.payload);
+      SpoolScan::CachedAnswer entry;
+      entry.key = std::strtoull(name.substr(0, 16).c_str(), nullptr, 16);
+      entry.cost_us = static_cast<long long>(r.u64());
+      entry.body = r.str();
       if (!r.at_end()) throw Error("cache entry: trailing bytes");
+      scan.cache.push_back(std::move(entry));
+      scrub.charge(path, true);
     } catch (const Error&) {
-      FsckItem& item = scrub.add(FsckFinding::CorruptCacheEntry, 0, path);
-      scrub.remove(item);
+      FsckItem& item =
+          scrub.add(FsckFinding::CorruptCacheEntry, 0, path,
+                    static_cast<long long>(raw.size()));
+      if (!scrub.remove(item)) scrub.charge(path, true);
     }
   }
 
-  // --- 6. append the adopted truths to the (repaired) journal -----------
-  if (repair && !adoptions.empty()) {
-    Journal journal;
-    if (journal.open(journal_path)) {
-      for (const JournalRecord& rec : adoptions)
-        if (journal.append(rec) == 0) {
-          FsckItem& item =
-              scrub.add(FsckFinding::CorruptJournal, rec.id, journal_path);
-          scrub.failed(item, "adoption append");
-        }
-    }
-  }
+  // Nothing belongs at the top level but the two directories.
+  for (const std::string& name : scan_dir(spool_dir))
+    scrub.sweep(spool_dir, name, false);
+  return scan;
+}
 
-  // --- 7. debris + recount: every byte classified, the rest flagged -----
-  const auto classify_dir = [&](const std::string& dir,
-                                auto&& attributable) {
-    for (const std::string& name : scan_dir(dir)) {
-      const std::string path = dir + "/" + name;
-      struct stat st;
-      if (::stat(path.c_str(), &st) != 0 || !S_ISREG(st.st_mode)) continue;
-      if (name.find(".tmp.") != std::string::npos) {
-        FsckItem& item = scrub.add(FsckFinding::TempDebris, 0, path);
-        if (!scrub.remove(item)) report.disk_bytes += item.bytes;
-        continue;
-      }
-      report.disk_bytes += static_cast<long long>(st.st_size);
-      if (!attributable(name)) {
-        FsckItem& item = scrub.add(FsckFinding::LedgerDrift, 0, path);
-        item.action = "charged";
-      }
-    }
-  };
-  classify_dir(jobs_dir, [](const std::string& name) {
-    return leading_id(name) != 0;
-  });
-  classify_dir(results_dir, [](const std::string& name) {
-    return leading_id(name) != 0;
-  });
-  classify_dir(cache_dir, [](const std::string& name) {
-    return is_hex16_res(name) ||
-           (ends_with(name, ".corrupt") &&
-            is_hex16_res(name.substr(0, name.size() - 8)));
-  });
-  classify_dir(journal_dir, [](const std::string& name) {
-    return name == "wal";
-  });
-  classify_dir(spool_dir, [](const std::string&) { return false; });
-
-  return report;
+FsckReport fsck_spool(const std::string& spool_dir, bool repair) {
+  return scan_spool(spool_dir, repair).report;
 }
 
 }  // namespace crusade::serve

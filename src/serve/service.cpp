@@ -1,7 +1,7 @@
 #include "serve/service.hpp"
 
-#include <dirent.h>
 #include <signal.h>
+#include <sys/resource.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <set>
 #include <sstream>
 
 #include "ckpt/serialize.hpp"
@@ -73,24 +74,13 @@ void make_dirs(const std::string& path) {
   }
 }
 
-std::vector<std::string> list_dir(const std::string& path) {
-  std::vector<std::string> names;
-  DIR* dir = ::opendir(path.c_str());
-  if (dir == nullptr) throw_io_error("serve: opendir " + path, errno);
-  while (dirent* entry = ::readdir(dir)) {
-    const std::string name = entry->d_name;
-    if (name != "." && name != "..") names.push_back(name);
-  }
-  ::closedir(dir);
-  std::sort(names.begin(), names.end());
-  return names;
-}
-
-void remove_if_exists(const std::string& path) {
-  if (iofault::xunlink(path.c_str()) != 0 && errno != ENOENT) {
-    // Best-effort cleanup; a stale spool file is re-scanned (and skipped as
-    // already-terminal or re-run idempotently) on the next start.
-  }
+/// User + system CPU time of a reaped child, in microseconds.
+long long cpu_us(const struct rusage& usage) {
+  return (static_cast<long long>(usage.ru_utime.tv_sec) +
+          static_cast<long long>(usage.ru_stime.tv_sec)) *
+             1000000LL +
+         static_cast<long long>(usage.ru_utime.tv_usec) +
+         static_cast<long long>(usage.ru_stime.tv_usec);
 }
 
 /// iofault observer -> obs bridge: every injected environment fault shows
@@ -101,18 +91,6 @@ std::string hex16(std::uint64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
   return buf;
-}
-
-std::string failure_body(JobKind kind, const char* klass,
-                         const std::string& message, int attempts) {
-  tools::JsonWriter w;
-  w.begin_object()
-      .key("kind").value(to_string(kind))
-      .key("error").value(message)
-      .key("error_class").value(klass)
-      .key("attempts").value(attempts)
-      .end_object();
-  return w.str();
 }
 
 }  // namespace
@@ -212,8 +190,6 @@ std::string to_json(const ServiceStats& s) {
       .value(static_cast<long long>(s.journal_append_failures))
       .key("fsck_findings").value(static_cast<long long>(s.fsck_findings))
       .key("fsck_repairs").value(static_cast<long long>(s.fsck_repairs))
-      .key("spool_reconciled")
-      .value(static_cast<long long>(s.spool_reconciled))
       .key("quarantine_evicted")
       .value(static_cast<long long>(s.quarantine_evicted))
       .key("ledger_drift_bytes").value(s.ledger_drift_bytes)
@@ -263,6 +239,9 @@ struct Service::Job {
   bool reduced_budget = false;
   /// Which limit fired, for the diagnosis ("RLIMIT_CPU (cpu seconds)"...).
   std::string resource_limit;
+  /// User + system CPU microseconds of every attempt so far (wait4): the
+  /// cost-to-recompute the result cache evicts by.
+  long long cpu_us = 0;
   std::string body;
   std::string detail;
   std::vector<AttemptRecord> history;
@@ -270,9 +249,10 @@ struct Service::Job {
 
 struct Service::CacheEntry {
   std::string body;
-  /// Wall time the original job spent computing this answer — the price of
-  /// losing the entry, which is exactly the eviction order.
-  long long cost_ms = 0;
+  /// CPU time the original job spent computing this answer — the price of
+  /// losing the entry, which is exactly the eviction order.  Unlike wall
+  /// time it does not grow when the machine is busy.
+  long long cost_us = 0;
 };
 
 Service::Service(ServiceConfig config) : cfg_(std::move(config)) {
@@ -283,9 +263,6 @@ Service::Service(ServiceConfig config) : cfg_(std::move(config)) {
   make_dirs(cfg_.spool_dir);
   make_dir(cfg_.spool_dir + "/jobs");
   make_dir(cfg_.spool_dir + "/cache");
-  make_dir(cfg_.spool_dir + "/results");
-  make_dir(cfg_.spool_dir + "/journal");
-  journal_ = std::make_unique<Journal>();
   // Chaos plan: config seed wins; otherwise the CRUSADE_CHAOS environment
   // variable (seed[:rate]) arms the same process-global plan.  The observer
   // bridge makes every injection visible as a chaos.* counter.  Armed
@@ -305,32 +282,11 @@ Service::Service(ServiceConfig config) : cfg_(std::move(config)) {
   // observe a half-recovered spool.
   util::MutexLock lk(mu_);
   paused_ = cfg_.start_paused;
-  // Boot-time fsck before anything trusts the spool: replay the journal
-  // against the world, truncate torn tails, quarantine corruption, adopt
-  // orphans, tombstone lost work.  Runs under the chaos plan armed above —
-  // fsck surviving injected faults is part of its contract.
-  const FsckReport scrub = fsck_spool(cfg_.spool_dir, /*repair=*/true);
-  stats_.fsck_findings = static_cast<std::int64_t>(scrub.items.size());
-  stats_.fsck_repairs = scrub.repairs;
-  stats_.spool_quarantined += scrub.quarantines;
-  if (!scrub.items.empty())
-    obs::count("serve.fsck_findings",
-               static_cast<long long>(scrub.items.size()));
-  if (scrub.repairs > 0) obs::count("serve.fsck_repairs", scrub.repairs);
-  // A stale frame fsck removed IS a reconciliation: the job's terminal
-  // answer already survives on disk and re-running it would duplicate
-  // execution.  Count it with recover_spool's own reconciliations so
-  // "recovered + reconciled == frames on disk at boot" holds.
-  const int stale = scrub.count(FsckFinding::StaleSpoolEntry);
-  if (stale > 0) {
-    stats_.spool_reconciled += stale;
-    obs::count("serve.spool_reconciled", stale);
-  }
-  if (scrub.quarantines > 0)
-    obs::count("serve.spool_quarantined", scrub.quarantines);
-  if (scrub.repair_failures > 0)
-    obs::count("serve.fsck_repair_failures", scrub.repair_failures);
-  recover_spool();
+  // One pass over the spool before anything trusts it: the scan repairs
+  // what it can and hands back everything it verified.  Runs under the
+  // chaos plan armed above — surviving injected faults is part of its
+  // contract.
+  install_spool_locked(scan_spool(cfg_.spool_dir, /*repair=*/true));
   workers_.reserve(static_cast<std::size_t>(cfg_.workers));
   for (int i = 0; i < cfg_.workers; ++i)
     workers_.emplace_back([this] { worker_loop(); });
@@ -446,13 +402,19 @@ SubmitOutcome Service::submit(const SubmitRequest& request) {
         job.body = hit->second.body;
         job.detail = "served from result cache";
         job.finish_seq = ++finish_seq_;
+        // Every terminal transition is durable — cache hits included, so a
+        // restart answers `result <id>` for them bit-identically too.  A
+        // hit whose answer cannot be written is refused like an admission
+        // whose record cannot be: no client holds an id without a record.
+        try {
+          persist_terminal_locked(job);
+        } catch (const Error& e) {
+          if (refuse_unrecorded_locked(id, e.what(), &out)) return out;
+        }
         ++stats_.cache_hits;
         ++stats_.finished;
         ++stats_.completed_ok;
         const Clock::time_point submitted_at = job.submitted_at;
-        // Every terminal transition is durable — cache hits included, so a
-        // restart answers `result <id>` for them bit-identically too.
-        persist_terminal_locked(job);
         std::vector<std::pair<std::uint64_t, int>> evicted;
         note_terminal_locked(id, &evicted);
         lk.unlock();
@@ -499,31 +461,16 @@ SubmitOutcome Service::submit(const SubmitRequest& request) {
 
     // Spool BEFORE the job becomes visible to workers (queue_ insert +
     // notify).  Publishing first would let an already-awake worker run —
-    // even finish — the job ahead of its spool write: the crash-durability
-    // invariant breaks, finalize()'s spool cleanup races the write into an
-    // orphan .job that a restart re-admits as a duplicate, and the failure
+    // even finish — the job ahead of its record write, and the failure
     // path's jobs_.erase would yank the job out from under a running
     // worker.  A spool failure (disk full) is an honest rejection: the job
     // is withdrawn before anything could have observed it.
     try {
       spool_job(job);
     } catch (const Error& e) {
-      jobs_.erase(id);
-      ++stats_.rejected_bad;
-      obs::count("serve.rejected_bad");
-      out.error = std::string("spool write failed: ") + e.what();
-      return out;
-    }
-    // Journal the admission after the spool write: replay treats the spool
-    // frame as the truth and fsck adopts any frame the journal missed, so
-    // the failure window (spooled, then crashed before this append) heals.
-    {
-      JournalRecord rec;
-      rec.type = JournalRecordType::Admitted;
-      rec.id = id;
-      rec.kind = static_cast<std::uint8_t>(request.kind);
-      rec.spec_fnv = ckpt::fnv1a(request.spec_text);
-      journal_append_locked(rec);
+      ++stats_.journal_append_failures;
+      obs::count("serve.journal_append_failures");
+      if (refuse_unrecorded_locked(id, e.what(), &out)) return out;
     }
     if (idem != 0) idem_to_job_[idem] = id;
     queue_.insert({-static_cast<long long>(request.priority), id});
@@ -567,7 +514,7 @@ bool Service::cancel(std::uint64_t id) {
     finalize(id, JobOutcome::Cancelled,
              failure_body(queued_kind, "cancelled", "cancelled while queued",
                           0),
-             "cancelled while queued", false);
+             "cancelled while queued");
   } else if (kill_pid > 0) {
     ::kill(kill_pid, SIGTERM);
   }
@@ -920,7 +867,7 @@ void Service::run_supervised(std::uint64_t id) {
         finalize(id, JobOutcome::Cancelled,
                  failure_body(job.req.kind, "cancelled",
                               "cancelled before execution", 0),
-                 "cancelled before execution", false);
+                 "cancelled before execution");
         return;
       }
       attempt = ++job.attempts;
@@ -938,13 +885,6 @@ void Service::run_supervised(std::uint64_t id) {
       rec.attempt = attempt;
       rec.start_ms = elapsed_ms(job.submitted_at);
       job.history.push_back(std::move(rec));
-      {
-        JournalRecord jrec;
-        jrec.type = JournalRecordType::AttemptStarted;
-        jrec.id = id;
-        jrec.attempt = static_cast<std::uint32_t>(attempt);
-        journal_append_locked(jrec);
-      }
       req = job.req;
       deadline_ms = job.req.deadline_ms;
       reduced_budget = job.reduced_budget;
@@ -998,7 +938,7 @@ void Service::run_supervised(std::uint64_t id) {
       finalize(id, JobOutcome::FailedHonest,
                failure_body(req.kind, "fork-failed", errno_message(errno),
                             attempt),
-               "fork failed", false);
+               "fork failed");
       return;
     }
     {
@@ -1019,8 +959,9 @@ void Service::run_supervised(std::uint64_t id) {
     Clock::time_point term_at{};
     bool killed = false;
     int wait_status = 0;
+    struct rusage usage {};
     while (true) {
-      const pid_t reaped = ::waitpid(pid, &wait_status, WNOHANG);
+      const pid_t reaped = ::wait4(pid, &wait_status, WNOHANG, &usage);
       if (reaped == pid) break;
       if (reaped < 0 && errno != EINTR) {
         wait_status = -1;
@@ -1052,7 +993,10 @@ void Service::run_supervised(std::uint64_t id) {
     {
       util::MutexLock lk(mu_);
       const auto it = jobs_.find(id);
-      if (it != jobs_.end()) it->second.child_pid = 0;
+      if (it != jobs_.end()) {
+        it->second.child_pid = 0;
+        it->second.cpu_us += cpu_us(usage);
+      }
       if (watchdog_fired) ++stats_.watchdog_kills;
     }
     if (watchdog_fired) obs::count("serve.watchdog_kills");
@@ -1092,7 +1036,7 @@ void Service::run_supervised(std::uint64_t id) {
         finalize(id, JobOutcome::Cancelled,
                  failure_body(req.kind, "cancelled",
                               "cancelled during retry backoff", attempt),
-                 "cancelled during retry backoff", false);
+                 "cancelled during retry backoff");
         return;
       }
     }
@@ -1111,7 +1055,7 @@ bool Service::classify_attempt(std::uint64_t id, int attempt, int wait_status,
   JobKind kind = JobKind::Run;
   bool reduced_budget = false;
   std::string resource_limit;
-  Clock::time_point started_at{};
+  long long cost_us = 0;
   {
     util::MutexLock lk(mu_);
     const auto it = jobs_.find(id);
@@ -1122,7 +1066,7 @@ bool Service::classify_attempt(std::uint64_t id, int attempt, int wait_status,
     kind = job.req.kind;
     reduced_budget = job.reduced_budget;
     resource_limit = job.resource_limit;
-    started_at = job.started_at;
+    cost_us = job.cpu_us;
   }
 
   if (exited && (code == kWorkerDone || code == kWorkerTruncated ||
@@ -1151,19 +1095,16 @@ bool Service::classify_attempt(std::uint64_t id, int attempt, int wait_status,
           // limit named, and never cached as the canonical answer.
           finalize(id, JobOutcome::DegradedHonest, std::move(body),
                    "completed at reduced search budget after exceeding " +
-                       resource_limit,
-                   false);
+                       resource_limit);
           return true;
         }
-        if (cache_key != 0)
-          cache_insert(cache_key, body, elapsed_ms(started_at));
+        if (cache_key != 0) cache_insert(cache_key, body, cost_us);
         finalize(id, attempt > 1 ? JobOutcome::Masked : JobOutcome::Ok,
                  std::move(body),
                  attempt > 1 ? "recovered after " +
                                    std::to_string(attempt - 1) +
                                    " crashed attempt(s)"
-                             : "",
-                 false);
+                             : "");
         return true;
       }
       if (code == kWorkerTruncated) {
@@ -1171,14 +1112,13 @@ bool Service::classify_attempt(std::uint64_t id, int attempt, int wait_status,
         finalize(id, JobOutcome::DegradedHonest, std::move(body),
                  cancel_requested
                      ? "cancelled: best-so-far architecture returned"
-                     : "deadline: best-so-far architecture returned",
-                 false);
+                     : "deadline: best-so-far architecture returned");
         return true;
       }
       // Bad spec is deterministic — retrying cannot change the verdict.
       record_attempt_end(id, attempt, "bad-spec");
       finalize(id, JobOutcome::FailedHonest, std::move(body),
-               "specification rejected", false);
+               "specification rejected");
       return true;
     }
   }
@@ -1218,7 +1158,7 @@ bool Service::classify_attempt(std::uint64_t id, int attempt, int wait_status,
                               " twice (the second attempt already ran at a "
                               "reduced search budget)",
                           attempt),
-             std::string("resource-exhausted: ") + limit, false);
+             std::string("resource-exhausted: ") + limit);
     return true;
   }
 
@@ -1239,7 +1179,7 @@ bool Service::classify_attempt(std::uint64_t id, int attempt, int wait_status,
     finalize(id, JobOutcome::Cancelled,
              failure_body(kind, "cancelled",
                           "cancelled; the worker produced no result", attempt),
-             "cancelled; worker produced no result", false);
+             "cancelled; worker produced no result");
     return true;
   }
   if (crash_attempts >= cfg_.max_attempts) {
@@ -1256,14 +1196,14 @@ bool Service::classify_attempt(std::uint64_t id, int attempt, int wait_status,
                           how + " after " + std::to_string(crash_attempts) +
                               " crashed attempt(s)",
                           attempt),
-             how, false);
+             how);
     return true;
   }
   return false;
 }
 
 void Service::finalize(std::uint64_t id, JobOutcome outcome, std::string body,
-                       std::string detail, bool keep_spool) {
+                       std::string detail) {
   std::vector<std::pair<std::uint64_t, int>> evicted;
   bool was_running = false;
   std::uint64_t run_us = 0;
@@ -1287,10 +1227,15 @@ void Service::finalize(std::uint64_t id, JobOutcome outcome, std::string body,
     job.body = std::move(body);
     job.detail = std::move(detail);
     job.finish_seq = ++finish_seq_;
-    // Durable-then-visible: the framed result file + journal Terminal
-    // record land before done_cv_ wakes any waiter, so an acknowledgment a
-    // client ever observes is already restart-durable.
-    persist_terminal_locked(job);
+    // Durable-then-visible: the terminal record lands before done_cv_
+    // wakes any waiter, so an acknowledgment a client ever observes is
+    // already restart-durable.  An answer that cannot be made durable is
+    // still served from memory; the queued record stays, so the next
+    // incarnation re-runs the job as recovered.
+    try {
+      persist_terminal_locked(job);
+    } catch (const Error&) {
+    }
     ++stats_.finished;
     switch (outcome) {
       case JobOutcome::Ok: ++stats_.completed_ok; break;
@@ -1319,14 +1264,12 @@ void Service::finalize(std::uint64_t id, JobOutcome outcome, std::string body,
     case JobOutcome::Cancelled: obs::count("serve.cancelled"); break;
     case JobOutcome::None: break;
   }
-  if (!keep_spool) {
-    // Telemetry files (.trace.N / .flight.N) deliberately survive here:
-    // `crusade trace --job` must work on terminal jobs.  They are unlinked
-    // when the job leaves the terminal retention window (cleanup_telemetry).
-    remove_spool_file(job_spool_path(id));
-    remove_spool_file(ckpt_spool_path(id));
-    remove_spool_file(result_spool_path(id));
-  }
+  // Worker scratch goes; telemetry files (.trace.N / .flight.N) stay, since
+  // `crusade trace --job` must work on terminal jobs.  They are unlinked
+  // with the record when the job leaves the terminal retention window
+  // (cleanup_telemetry).
+  remove_spool_file(ckpt_spool_path(id));
+  remove_spool_file(result_spool_path(id));
   done_cv_.notify_all();
 }
 
@@ -1387,12 +1330,6 @@ void Service::note_terminal_locked(
         evicted->emplace_back(victim, it->second.attempts);
       jobs_.erase(it);
     }
-    // Journal the retention eviction so fsck knows the missing result file
-    // is policy, not loss — no tombstone for a deliberately dropped answer.
-    JournalRecord rec;
-    rec.type = JournalRecordType::ResultEvicted;
-    rec.id = victim;
-    journal_append_locked(rec);
     obs::count("serve.terminal_evicted");
   }
 }
@@ -1400,9 +1337,8 @@ void Service::note_terminal_locked(
 void Service::cleanup_telemetry(
     const std::vector<std::pair<std::uint64_t, int>>& evicted) {
   for (const auto& [id, attempts] : evicted) {
-    // The durable result leaves retention with the job (its ResultEvicted
-    // journal record was appended under mu_ in note_terminal_locked).
-    remove_spool_file(durable_result_path(id));
+    // The terminal record leaves retention with the job.
+    remove_spool_file(job_spool_path(id));
     for (int attempt = 1; attempt <= attempts; ++attempt) {
       remove_spool_file(trace_spool_path(id, attempt));
       remove_spool_file(flight_spool_path(id, attempt));
@@ -1411,53 +1347,39 @@ void Service::cleanup_telemetry(
 }
 
 void Service::cache_insert(std::uint64_t key, const std::string& body,
-                           long cost_ms) {
-  std::vector<std::uint64_t> evicted;
+                           long long cost_us) {
   bool persist = true;
   {
     util::MutexLock lk(mu_);
     if (cfg_.cache_capacity == 0) return;
     if (cache_.count(key) != 0) return;  // cost pinned at first insert
-    cache_[key] = CacheEntry{body, cost_ms};
-    cache_by_cost_.insert({static_cast<long long>(cost_ms), key});
+    cache_[key] = CacheEntry{body, cost_us};
+    cache_by_cost_.insert({cost_us, key});
     // Capacity pressure evicts by cost-to-recompute, cheapest first — the
-    // entry whose loss costs the least wall time to repair.  The entry
-    // just inserted is a legal victim: a cheap answer does not get to
-    // displace an expensive one.
-    while (cache_.size() > cfg_.cache_capacity) {
-      const auto cheapest = cache_by_cost_.begin();
-      const std::uint64_t victim = cheapest->second;
-      cache_by_cost_.erase(cheapest);
-      cache_.erase(victim);
-      evicted.push_back(victim);
-      ++stats_.cache_evictions;
-      obs::count("serve.cache_evictions");
-    }
+    // entry whose loss costs the least CPU time to repair.  The entry just
+    // inserted is a legal victim: a cheap answer does not get to displace
+    // an expensive one.
+    while (cache_.size() > cfg_.cache_capacity) evict_cheapest_locked();
     // Disk pressure: if even cache self-eviction cannot make the entry fit
     // under the budget, keep it in memory only (hits still work this
     // incarnation) and skip the persist.
-    if (cache_.count(key) != 0 &&
-        !evict_cache_for_space_locked(static_cast<long long>(body.size()) +
-                                      64))
-      persist = false;
+    persist = cache_.count(key) != 0 &&
+              evict_cache_for_space_locked(
+                  static_cast<long long>(body.size()) + 64);
   }
   obs::count("serve.cache_inserts");
-  for (const std::uint64_t victim : evicted) {
-    remove_spool_file(cache_path(victim));
-    if (victim == key) persist = false;
-  }
   if (!persist) {
     obs::count("serve.cache_persist_skipped");
     return;
   }
   // Persist outside the lock; a full disk costs only the persistence (the
   // in-memory entry still serves hits this incarnation).  One framed CCHE
-  // file carries cost + body together — no sidecar to tear apart from its
-  // entry — so cost-aware eviction order survives a restart and a torn
-  // write fails the CRC instead of recovering a half-truth.
+  // file carries cost + body together, so cost-aware eviction order
+  // survives a restart and a torn write fails the CRC instead of
+  // recovering a half-truth.
   try {
     ckpt::BinWriter w;
-    w.u64(static_cast<std::uint64_t>(cost_ms < 0 ? 0 : cost_ms));
+    w.u64(static_cast<std::uint64_t>(cost_us < 0 ? 0 : cost_us));
     w.str(body);
     diskfmt::write_framed_file(cache_path(key), kCacheEntryMagic,
                                kCacheEntryVersion, w.bytes());
@@ -1465,6 +1387,19 @@ void Service::cache_insert(std::uint64_t key, const std::string& body,
   } catch (const Error&) {
     obs::count("serve.cache_persist_failures");
   }
+}
+
+void Service::evict_cheapest_locked() {
+  const std::uint64_t victim = cache_by_cost_.begin()->second;
+  cache_by_cost_.erase(cache_by_cost_.begin());
+  cache_.erase(victim);
+  ++stats_.cache_evictions;
+  obs::count("serve.cache_evictions");
+  // Untrack + unlink inline: an admission decision waiting on this
+  // eviction needs the bytes actually reclaimed.
+  const std::string path = cache_path(victim);
+  untrack_file_locked(path);
+  (void)iofault::xunlink(path.c_str());
 }
 
 void Service::track_file(const std::string& path) {
@@ -1481,124 +1416,93 @@ void Service::track_file_locked(const std::string& path, long long bytes) {
   stats_.disk_used_bytes = disk_used_;
 }
 
+void Service::untrack_file_locked(const std::string& path) {
+  const auto it = disk_files_.find(path);
+  if (it == disk_files_.end()) return;
+  disk_used_ -= it->second;
+  disk_files_.erase(it);
+  stats_.disk_used_bytes = disk_used_;
+}
+
 void Service::remove_spool_file(const std::string& path) {
   {
     util::MutexLock lk(mu_);
-    const auto it = disk_files_.find(path);
-    if (it != disk_files_.end()) {
-      disk_used_ -= it->second;
-      disk_files_.erase(it);
-      stats_.disk_used_bytes = disk_used_;
-    }
+    untrack_file_locked(path);
   }
   if (iofault::xunlink(path.c_str()) != 0 && errno != ENOENT) {
     // The bytes stay on disk but leave the ledger — temporary accounting
-    // drift that the recovery rescan corrects on the next start.
+    // drift that the boot scan corrects on the next start.
     obs::count("serve.spool_unlink_failures");
   }
 }
 
 bool Service::evict_cache_for_space_locked(long long need) {
   if (cfg_.disk_budget_bytes <= 0) return true;
-  while (disk_used_ + need > cfg_.disk_budget_bytes &&
-         !cache_by_cost_.empty()) {
-    const std::uint64_t victim = cache_by_cost_.begin()->second;
-    cache_by_cost_.erase(cache_by_cost_.begin());
-    cache_.erase(victim);
-    ++stats_.cache_evictions;
-    obs::count("serve.cache_evictions");
-    // Untrack + unlink inline (under mu_, like spool_job): the admission
-    // decision that triggered this needs the bytes actually reclaimed.
-    const std::string path = cache_path(victim);
-    const auto it = disk_files_.find(path);
-    if (it != disk_files_.end()) {
-      disk_used_ -= it->second;
-      disk_files_.erase(it);
-    }
-    (void)iofault::xunlink(path.c_str());
-  }
-  stats_.disk_used_bytes = disk_used_;
+  while (disk_used_ + need > cfg_.disk_budget_bytes && !cache_by_cost_.empty())
+    evict_cheapest_locked();
   return disk_used_ + need <= cfg_.disk_budget_bytes;
 }
 
-void Service::recover_spool() {
-  // Cache first: framed CCHE entries carry the recompute cost and the body
-  // together — no sidecar to tear apart from its entry, and a torn write
-  // fails the CRC instead of recovering a half-truth.  The cache is
-  // advisory, so anything unreadable is simply removed.
-  for (const std::string& name : list_dir(cfg_.spool_dir + "/cache")) {
-    if (name.size() != 20 || name.substr(16) != ".res") continue;
-    const std::string path = cfg_.spool_dir + "/cache/" + name;
-    const std::uint64_t key =
-        std::strtoull(name.substr(0, 16).c_str(), nullptr, 16);
-    if (key == 0) continue;
-    if (cache_.size() >= cfg_.cache_capacity) {
-      remove_if_exists(path);
-      continue;
-    }
-    try {
-      const diskfmt::Unframed entry =
-          diskfmt::read_framed_file(path, kCacheEntryMagic,
-                                    kCacheEntryVersion);
-      ckpt::BinReader r(entry.payload);
-      const long long cost_ms = static_cast<long long>(r.u64());
-      std::string body = r.str();
-      if (!r.at_end()) throw Error("cache entry: trailing bytes");
-      cache_[key] = CacheEntry{std::move(body), cost_ms};
-      cache_by_cost_.insert({cost_ms, key});
-    } catch (const Error&) {
-      remove_if_exists(path);
-    }
-  }
+void Service::install_spool_locked(SpoolScan scan) {
+  const FsckReport& report = scan.report;
+  stats_.fsck_findings = static_cast<std::int64_t>(report.items.size());
+  stats_.fsck_repairs = report.repairs;
+  stats_.spool_quarantined += report.quarantines;
+  if (!report.items.empty())
+    obs::count("serve.fsck_findings",
+               static_cast<long long>(report.items.size()));
+  if (report.repairs > 0) obs::count("serve.fsck_repairs", report.repairs);
+  if (report.quarantines > 0)
+    obs::count("serve.spool_quarantined", report.quarantines);
+  if (report.repair_failures > 0)
+    obs::count("serve.fsck_repair_failures", report.repair_failures);
 
-  // Durable results: reload terminal jobs so status/result answer across
-  // the restart — bit-identical bytes, zero re-execution.  fsck already
-  // swept corruption, but the chaos plan can strike this re-read too:
-  // anything unreadable now is quarantined as evidence, exactly like a
-  // corrupt job frame.
-  std::uint64_t max_id = 0;
-  std::vector<DurableResult> loaded;
-  std::unordered_map<std::uint64_t, std::uint64_t> result_fnv;
-  for (const std::string& name : list_dir(cfg_.spool_dir + "/results")) {
-    if (name.size() < 5 || name.substr(name.size() - 4) != ".res") continue;
-    const std::string path = cfg_.spool_dir + "/results/" + name;
-    try {
-      const std::string raw = read_file(path);
-      DurableResult r = decode_durable_result(
-          diskfmt::unframe(raw, kDurableResultMagic, kDurableResultVersion)
-              .payload);
-      if (r.id == 0 || jobs_.count(r.id) != 0)
-        throw Error("results: bad or duplicate id");
-      result_fnv[r.id] = ckpt::fnv1a(raw);
-      loaded.push_back(std::move(r));
-    } catch (const Error&) {
-      if (iofault::xrename(path.c_str(), (path + ".corrupt").c_str()) == 0) {
-        ++stats_.spool_quarantined;
-        obs::count("serve.spool_quarantined");
-      } else {
-        obs::count("serve.quarantine_rename_failures");
-      }
-    }
+  // The ledger is the scan's byte count, with anything unattributable
+  // surfaced as drift.  Corrupt records the scan could not quarantine stay
+  // on disk for the next scrub, whatever retention says below.
+  for (const auto& [path, bytes] : scan.files) track_file_locked(path, bytes);
+  std::set<std::uint64_t> unquarantined;
+  for (const FsckItem& item : report.items) {
+    if (item.finding == FsckFinding::LedgerDrift)
+      stats_.ledger_drift_bytes += item.bytes;
+    if (item.finding == FsckFinding::CorruptSpoolEntry &&
+        item.action != "quarantined")
+      unquarantined.insert(item.id);
   }
+  if (stats_.ledger_drift_bytes > 0)
+    obs::count("disk.ledger_drift", stats_.ledger_drift_bytes);
+
+  // Cache: every valid entry goes in, then capacity evicts cheapest first,
+  // the order cache_insert uses.
+  for (SpoolScan::CachedAnswer& entry : scan.cache) {
+    cache_[entry.key] = CacheEntry{std::move(entry.body), entry.cost_us};
+    cache_by_cost_.insert({entry.cost_us, entry.key});
+  }
+  while (cache_.size() > cfg_.cache_capacity) evict_cheapest_locked();
+
+  // Terminal answers — bit-identical bytes, zero re-execution.  Retention
+  // crosses the restart: only the newest terminal_retain stay queryable,
+  // the rest leave now (records included).
+  std::vector<DurableResult>& loaded = scan.terminal;
   std::sort(loaded.begin(), loaded.end(),
             [](const DurableResult& a, const DurableResult& b) {
               return a.finish_seq != b.finish_seq
                          ? a.finish_seq < b.finish_seq
                          : a.id < b.id;
             });
-  // Retention crosses the restart: only the newest terminal_retain results
-  // stay queryable, the rest leave now (files included).
-  if (loaded.size() > cfg_.terminal_retain) {
-    const std::size_t drop = loaded.size() - cfg_.terminal_retain;
-    for (std::size_t i = 0; i < drop; ++i) {
-      remove_if_exists(durable_result_path(loaded[i].id));
-      result_fnv.erase(loaded[i].id);
+  const std::size_t drop = loaded.size() > cfg_.terminal_retain
+                               ? loaded.size() - cfg_.terminal_retain
+                               : 0;
+  for (std::size_t i = 0; i < loaded.size(); ++i) {
+    DurableResult& r = loaded[i];
+    if (i < drop) {
+      if (unquarantined.count(r.id) == 0) {
+        untrack_file_locked(job_spool_path(r.id));
+        (void)iofault::xunlink(job_spool_path(r.id).c_str());
+      }
       obs::count("serve.terminal_evicted");
+      continue;
     }
-    loaded.erase(loaded.begin(),
-                 loaded.begin() + static_cast<std::ptrdiff_t>(drop));
-  }
-  for (DurableResult& r : loaded) {
     Job& job = jobs_[r.id];
     job.id = r.id;
     job.req.kind = r.kind;
@@ -1615,130 +1519,58 @@ void Service::recover_spool() {
     job.history = std::move(r.history);
     terminal_order_.push_back(r.id);
     if (r.finish_seq > finish_seq_) finish_seq_ = r.finish_seq;
-    if (r.id > max_id) max_id = r.id;
     ++stats_.results_recovered;
     obs::count("serve.results_recovered");
   }
 
-  // Jobs: every *.job file is a framed CJOB wrapping the original SUBMIT
-  // wire frame plus the assigned id.  A frame whose job already has a
-  // durable terminal result is RECONCILED — removed, never re-admitted:
-  // it is the leftover of the crash window between the terminal persist
-  // and the spool cleanup, and re-running it would duplicate execution.
-  // Everything else is re-admitted; corrupt entries are renamed aside,
-  // never silently deleted and never allowed to block the rest.
-  for (const std::string& name : list_dir(cfg_.spool_dir + "/jobs")) {
-    if (name.size() < 5 || name.substr(name.size() - 4) != ".job") continue;
-    const std::string path = cfg_.spool_dir + "/jobs/" + name;
+  // Queued records re-enter the queue as recovered jobs (checkpoints make
+  // the resume cheap), with their deadline budget restarted.
+  for (auto& [id, request] : scan.queued) {
+    Job& job = jobs_[id];
+    job.id = id;
+    job.req = std::move(request);
+    job.recovered = true;
     try {
-      const Request frame = decode_frame(
-          diskfmt::unframe(read_file(path), kSpoolJobMagic, kSpoolJobVersion)
-              .payload);
-      if (frame.verb != "JOB") throw Error("spool: not a JOB frame");
-      const std::uint64_t id =
-          static_cast<std::uint64_t>(frame.get_long("id"));
-      if (id == 0) throw Error("spool: bad id");
-      if (jobs_.count(id) != 0) {
-        if (jobs_[id].state != JobState::Done)
-          throw Error("spool: duplicate id");
-        remove_if_exists(path);
-        remove_if_exists(ckpt_spool_path(id));
-        remove_if_exists(result_spool_path(id));
-        ++stats_.spool_reconciled;
-        obs::count("serve.spool_reconciled");
-        continue;
-      }
-      Job& job = jobs_[id];
-      job.id = id;
-      job.req = parse_submit_request(frame);
-      job.recovered = true;
-      job.submitted_at = Clock::now();  // the deadline budget restarts
-      try {
-        job.cache_key = compute_cache_key(job.req);
-      } catch (const Error&) {
-        job.cache_key = 0;  // ran before, so run again; just never cache it
-      }
-      // Re-register the idempotency mapping: a client resubmitting across
-      // the daemon restart still attaches to its recovered job.
-      job.idem_key = compute_idem_key(job.req, job.cache_key);
-      if (job.idem_key != 0) idem_to_job_[job.idem_key] = id;
-      queue_.insert({-static_cast<long long>(job.req.priority), id});
-      if (id > max_id) max_id = id;
-      ++recovered_;
-      ++stats_.recovered;
-      obs::count("serve.recovered");
+      job.cache_key = compute_cache_key(job.req);
     } catch (const Error&) {
-      // Quarantine, never delete: the corrupt bytes are the evidence.  A
-      // failed rename (injected EIO) leaves the file for the next start to
-      // retry — recovery of the remaining entries continues either way.
-      if (iofault::xrename(path.c_str(), (path + ".corrupt").c_str()) == 0) {
-        ++stats_.spool_quarantined;
-        obs::count("serve.spool_quarantined");
-      } else {
-        obs::count("serve.quarantine_rename_failures");
-      }
+      job.cache_key = 0;  // ran before, so run again; just never cache it
     }
+    // Re-register the idempotency mapping: a client resubmitting across
+    // the daemon restart still attaches to its recovered job.
+    job.idem_key = compute_idem_key(job.req, job.cache_key);
+    if (job.idem_key != 0) idem_to_job_[job.idem_key] = id;
+    queue_.insert({-static_cast<long long>(job.req.priority), id});
+    ++recovered_;
+    ++stats_.recovered;
+    obs::count("serve.recovered");
   }
-  if (max_id >= next_id_) next_id_ = max_id + 1;
+  // Ids above every file name under jobs/: an id whose record could not be
+  // read this boot is never reissued.
+  if (scan.max_id >= next_id_) next_id_ = scan.max_id + 1;
   stats_.queue_depth = static_cast<int>(queue_.size());
   if (stats_.queue_depth > stats_.queue_peak)
     stats_.queue_peak = stats_.queue_depth;
 
   // Quarantine retention: .corrupt evidence is bounded, oldest evicted
-  // first past the cap.  The survivors stay charged to the ledger below.
+  // first past the cap.  The survivors stay charged to the ledger.
   std::vector<std::pair<long long, std::string>> corpses;
-  for (const char* sub : {"/jobs", "/cache", "/results"}) {
-    for (const std::string& name : list_dir(cfg_.spool_dir + sub)) {
-      if (name.size() < 8 || name.substr(name.size() - 8) != ".corrupt")
-        continue;
-      const std::string path = cfg_.spool_dir + sub + "/" + name;
-      struct stat st;
-      if (::stat(path.c_str(), &st) == 0)
-        corpses.emplace_back(static_cast<long long>(st.st_mtime), path);
-    }
+  for (const auto& [path, bytes] : scan.files) {
+    struct stat st;
+    if (path.size() > 8 && path.compare(path.size() - 8, 8, ".corrupt") == 0 &&
+        ::stat(path.c_str(), &st) == 0)
+      corpses.emplace_back(static_cast<long long>(st.st_mtime), path);
   }
   if (corpses.size() > cfg_.quarantine_retain) {
     std::sort(corpses.begin(), corpses.end());
-    const std::size_t drop = corpses.size() - cfg_.quarantine_retain;
-    for (std::size_t i = 0; i < drop; ++i) {
-      if (iofault::xunlink(corpses[i].second.c_str()) == 0 ||
-          errno == ENOENT) {
+    for (std::size_t i = 0; i + cfg_.quarantine_retain < corpses.size(); ++i) {
+      const std::string& path = corpses[i].second;
+      if (iofault::xunlink(path.c_str()) == 0 || errno == ENOENT) {
+        untrack_file_locked(path);
         ++stats_.quarantine_evicted;
         obs::count("serve.quarantine_evicted");
       }
     }
   }
-
-  // Compact the journal to the live set — one Admitted per queued job, one
-  // Terminal per retained result — then open it for this incarnation's
-  // appends.  A failed rewrite keeps the old (already fsck-repaired)
-  // journal; a failed open runs this incarnation journal-less, counted.
-  std::vector<JournalRecord> live;
-  for (const auto& [id, job] : jobs_) {
-    JournalRecord rec;
-    rec.id = id;
-    rec.kind = static_cast<std::uint8_t>(job.req.kind);
-    if (job.state == JobState::Done) {
-      rec.type = JournalRecordType::Terminal;
-      rec.outcome = static_cast<std::uint8_t>(job.outcome);
-      rec.attempts =
-          static_cast<std::uint32_t>(job.attempts < 0 ? 0 : job.attempts);
-      const auto fnv = result_fnv.find(id);
-      rec.result_fnv = fnv != result_fnv.end() ? fnv->second : 0;
-    } else {
-      rec.type = JournalRecordType::Admitted;
-      rec.spec_fnv = ckpt::fnv1a(job.req.spec_text);
-    }
-    live.push_back(rec);
-  }
-  if (!Journal::rewrite(journal_path(), live))
-    obs::count("serve.journal_compact_failures");
-  if (!journal_->open(journal_path()))
-    obs::count("serve.journal_open_failures");
-
-  // The ledger recount is the last word: actual bytes on disk, with
-  // anything unattributable surfaced as drift.
-  recount_disk_locked();
 }
 
 void Service::spool_job(const Job& job) {
@@ -1750,16 +1582,6 @@ void Service::spool_job(const Job& job) {
                              kSpoolJobVersion, payload);
   track_file_locked(job_spool_path(job.id),
                     diskfmt::framed_size(payload.size()));
-}
-
-void Service::journal_append_locked(const JournalRecord& record) {
-  const std::uint64_t size = journal_->append(record);
-  if (size == 0) {
-    ++stats_.journal_append_failures;
-    obs::count("serve.journal_append_failures");
-    return;
-  }
-  track_file_locked(journal_path(), static_cast<long long>(size));
 }
 
 void Service::persist_terminal_locked(Job& job) {
@@ -1777,76 +1599,46 @@ void Service::persist_terminal_locked(Job& job) {
   r.body = job.body;
   r.history = job.history;
   const std::string payload = encode_durable_result(r);
-  const std::string path = durable_result_path(job.id);
-  std::uint64_t fnv = 0;
-  // Budget first (cache entries are the pressure valve), then persist.  A
-  // result that cannot be made durable is counted and still served from
-  // memory this incarnation — honest degradation; the next boot's fsck
-  // writes the tombstone story from the journal's Terminal record.
-  if (evict_cache_for_space_locked(diskfmt::framed_size(payload.size()))) {
-    try {
-      const std::string framed =
-          diskfmt::frame(kDurableResultMagic, kDurableResultVersion, payload);
-      diskfmt::write_framed_file(path, kDurableResultMagic,
-                                 kDurableResultVersion, payload);
-      track_file_locked(path, static_cast<long long>(framed.size()));
-      fnv = ckpt::fnv1a(framed);
-      ++stats_.results_persisted;
-      obs::count("serve.results_persisted");
-    } catch (const Error&) {
-      ++stats_.result_persist_failures;
-      obs::count("serve.result_persist_failures");
-    }
-  } else {
+  const long long bytes = diskfmt::framed_size(payload.size());
+  // Budget first (cache entries are the pressure valve), then replace the
+  // queued request in place.
+  try {
+    if (!evict_cache_for_space_locked(bytes))
+      throw DiskFullError("disk budget exhausted", ENOSPC);
+    diskfmt::write_framed_file(job_spool_path(job.id), kDurableResultMagic,
+                               kDurableResultVersion, payload);
+  } catch (const Error&) {
     ++stats_.result_persist_failures;
+    ++stats_.journal_append_failures;
     obs::count("serve.result_persist_failures");
+    obs::count("serve.journal_append_failures");
+    throw;
   }
-  JournalRecord rec;
-  rec.type = JournalRecordType::Terminal;
-  rec.id = job.id;
-  rec.kind = static_cast<std::uint8_t>(job.req.kind);
-  rec.outcome = static_cast<std::uint8_t>(job.outcome);
-  rec.attempts =
-      static_cast<std::uint32_t>(job.attempts < 0 ? 0 : job.attempts);
-  rec.result_fnv = fnv;
-  journal_append_locked(rec);
+  track_file_locked(job_spool_path(job.id), bytes);
+  ++stats_.results_persisted;
+  obs::count("serve.results_persisted");
 }
 
-void Service::recount_disk_locked() {
-  disk_files_.clear();
-  disk_used_ = 0;
-  long long drift = 0;
-  const auto digits_id = [](const std::string& name) {
-    return !name.empty() && name[0] >= '0' && name[0] <= '9';
-  };
-  const auto hex_res = [](const std::string& name) {
-    std::string stem = name;
-    if (stem.size() > 8 && stem.substr(stem.size() - 8) == ".corrupt")
-      stem = stem.substr(0, stem.size() - 8);
-    if (stem.size() != 20 || stem.substr(16) != ".res") return false;
-    for (std::size_t i = 0; i < 16; ++i) {
-      const char c = stem[i];
-      if (!((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))) return false;
-    }
-    return true;
-  };
-  const struct { const char* sub; int shape; } dirs[] = {
-      {"/jobs", 0}, {"/results", 0}, {"/cache", 1}, {"/journal", 2}};
-  for (const auto& d : dirs) {
-    const std::string dir = cfg_.spool_dir + d.sub;
-    for (const std::string& name : list_dir(dir)) {
-      const std::string path = dir + "/" + name;
-      struct stat st;
-      if (::stat(path.c_str(), &st) != 0 || !S_ISREG(st.st_mode)) continue;
-      track_file_locked(path, static_cast<long long>(st.st_size));
-      const bool known = d.shape == 0   ? digits_id(name)
-                         : d.shape == 1 ? hex_res(name)
-                                        : name == "wal";
-      if (!known) drift += static_cast<long long>(st.st_size);
-    }
+bool Service::refuse_unrecorded_locked(std::uint64_t id,
+                                       const std::string& why,
+                                       SubmitOutcome* out) {
+  // atomic_write_file renames before it fsyncs the directory, so that
+  // failure leaves the whole record under its final name: remove it, or
+  // the next boot would run (or answer) a job the client was refused.
+  // Whether a record is left is asked of the file system outside the
+  // fault seam: a failed unlink says nothing about a file never written.
+  const std::string path = job_spool_path(id);
+  struct stat st;
+  if (::stat(path.c_str(), &st) == 0 && iofault::xunlink(path.c_str()) != 0 &&
+      ::stat(path.c_str(), &st) == 0) {
+    track_file_locked(path, static_cast<long long>(st.st_size));
+    return false;
   }
-  stats_.ledger_drift_bytes = drift;
-  if (drift > 0) obs::count("disk.ledger_drift", drift);
+  jobs_.erase(id);
+  ++stats_.rejected_bad;
+  obs::count("serve.rejected_bad");
+  out->error = "spool write failed: " + why;
+  return true;
 }
 
 std::string Service::job_spool_path(std::uint64_t id) const {
@@ -1873,14 +1665,6 @@ std::string Service::flight_spool_path(std::uint64_t id, int attempt) const {
 
 std::string Service::cache_path(std::uint64_t key) const {
   return cfg_.spool_dir + "/cache/" + hex16(key) + ".res";
-}
-
-std::string Service::durable_result_path(std::uint64_t id) const {
-  return cfg_.spool_dir + "/results/" + std::to_string(id) + ".res";
-}
-
-std::string Service::journal_path() const {
-  return cfg_.spool_dir + "/journal/wal";
 }
 
 /// Honest retry-after: (queued ahead / workers + 1) slots times the average

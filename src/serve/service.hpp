@@ -17,11 +17,12 @@
 //    max_attempts.  One tenant's crash can never take the daemon — or
 //    another tenant's job — down.
 //  * Result cache keyed on Crusade::fingerprint: identical re-submissions
-//    return the original bytes instantly.  Cache entries and queued jobs
-//    are spooled to disk (atomic_write_file), so in-flight work survives a
-//    daemon restart and is re-admitted on construction.  A job is spooled
-//    before it ever becomes visible to a worker: admission acknowledged
-//    implies crash-durable.
+//    return the original bytes instantly, and cache entries are spooled to
+//    disk.  Every admitted job owns one durable record (serve/durable.hpp),
+//    written before the job ever becomes visible to a worker — admission
+//    acknowledged implies crash-durable — and replaced by the job's
+//    terminal answer before that answer is published.  A restart re-admits
+//    the queued records and answers the terminal ones bit-identically.
 //  * Bounded retention everywhere: the cache is capped and evicts the
 //    cheapest-to-recompute entry first (an expensive synthesis result
 //    outlives any number of cheap lint answers), and terminal
@@ -41,7 +42,6 @@
 #include <deque>
 #include <list>
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -75,9 +75,9 @@ struct ServiceConfig {
   /// cooperative stop.
   long term_grace_ms = 1000;
   /// Result-cache entry bound; past it the cheapest-to-recompute entries
-  /// (by the wall time the original run took) are evicted first, spool
-  /// files included — re-linting costs milliseconds, re-synthesizing does
-  /// not.
+  /// (by the CPU time the original job's workers spent) are evicted first,
+  /// spool files included — re-linting costs milliseconds,
+  /// re-synthesizing does not.
   std::size_t cache_capacity = 256;
   /// Terminal-job retention bound (>= 1): finished jobs (and their result
   /// bodies) stay queryable until this many newer jobs have finished, then
@@ -223,25 +223,24 @@ struct ServiceStats {
   std::int64_t duplicates_attached = 0;
   /// Cache entries evicted (capacity or disk-budget pressure).
   std::int64_t cache_evictions = 0;
-  /// Corrupt spool entries renamed aside at recovery.
+  /// Corrupt job records kept as evidence and tombstoned at boot.
   std::int64_t spool_quarantined = 0;
-  /// Terminal results made durable (framed CRES files under results/).
+  /// Terminal results made durable (CRES records over jobs/<id>.job).
   std::int64_t results_persisted = 0;
-  /// Durable results reloaded at startup — terminal jobs answering
+  /// Terminal records reloaded at startup — terminal jobs answering
   /// status/result across the restart without re-execution.
   std::int64_t results_recovered = 0;
   /// Terminal results that could not be persisted (disk full, injected
-  /// fault): the in-memory answer still serves this incarnation, honestly.
+  /// fault): the in-memory answer still serves this incarnation, and the
+  /// queued record stays for the next one to re-run.
   std::int64_t result_persist_failures = 0;
-  /// Journal appends that did not reach durability (torn tail truncated at
-  /// the next boot's fsck).
+  /// Job record writes that failed, admission and terminal alike.  The
+  /// name is the write-ahead journal's, which the per-job record replaced;
+  /// STATS readers keep their key.
   std::int64_t journal_append_failures = 0;
-  /// Boot-time fsck verdicts for this incarnation.
+  /// Boot-time scan verdicts for this incarnation.
   std::int64_t fsck_findings = 0;
   std::int64_t fsck_repairs = 0;
-  /// Spool frames removed at recovery because the job already had a durable
-  /// terminal result — the zero-duplicate-execution reconciliation.
-  std::int64_t spool_reconciled = 0;
   /// Quarantined evidence files evicted oldest-first past quarantine_retain.
   std::int64_t quarantine_evicted = 0;
   /// Bytes the startup recount could not attribute to any known artifact —
@@ -264,8 +263,7 @@ struct ServiceStats {
   obs::HistogramSnapshot e2e_us;
 };
 
-class Journal;
-struct JournalRecord;
+struct SpoolScan;
 
 class Service {
  public:
@@ -334,7 +332,7 @@ class Service {
   bool classify_attempt(std::uint64_t id, int attempt, int wait_status,
                         bool watchdog_fired) CRUSADE_EXCLUDES(mu_);
   void finalize(std::uint64_t id, JobOutcome outcome, std::string body,
-                std::string detail, bool keep_spool) CRUSADE_EXCLUDES(mu_);
+                std::string detail) CRUSADE_EXCLUDES(mu_);
   /// Records the end of one supervised attempt in the job's history,
   /// attaching flight-recorder evidence for attempts that died without a
   /// result.
@@ -342,57 +340,59 @@ class Service {
                           const std::string& fate) CRUSADE_EXCLUDES(mu_);
   /// Records a job as terminal and evicts the oldest terminal jobs past
   /// ServiceConfig::terminal_retain.  Evicted ids and their attempt counts
-  /// are appended to `evicted` so the caller can unlink their telemetry
-  /// spool files outside the lock.
+  /// are appended to `evicted` so the caller can unlink their records and
+  /// telemetry files outside the lock.
   void note_terminal_locked(
       std::uint64_t id,
       std::vector<std::pair<std::uint64_t, int>>* evicted)
       CRUSADE_REQUIRES(mu_);
-  /// Unlinks the per-attempt trace + flight files of evicted jobs.
+  /// Unlinks the terminal record and per-attempt trace + flight files of
+  /// evicted jobs.
   void cleanup_telemetry(
       const std::vector<std::pair<std::uint64_t, int>>& evicted)
       CRUSADE_EXCLUDES(mu_);
   /// Inserts a canonical result keyed by `key`, remembering its
-  /// cost-to-recompute (the job's wall time) so disk/capacity pressure
-  /// evicts the cheapest entries first.
-  void cache_insert(std::uint64_t key, const std::string& body, long cost_ms)
-      CRUSADE_EXCLUDES(mu_);
+  /// cost-to-recompute (the job's worker CPU time) so disk/capacity
+  /// pressure evicts the cheapest entries first.
+  void cache_insert(std::uint64_t key, const std::string& body,
+                    long long cost_us) CRUSADE_EXCLUDES(mu_);
+  /// Drops the cheapest-to-recompute cache entry, its file included.
+  void evict_cheapest_locked() CRUSADE_REQUIRES(mu_);
   /// Disk-budget ledger.  track_file stats `path` and records its size
   /// (replacing any previous record for the same path); remove_spool_file
-  /// untracks and unlinks.  The ledger is rebuilt by scanning the spool at
-  /// recovery, so unlink failures only cost temporary accounting drift.
+  /// untracks and unlinks.  The ledger is rebuilt by the boot scan, so
+  /// unlink failures only cost temporary accounting drift.
   void track_file(const std::string& path) CRUSADE_EXCLUDES(mu_);
   void track_file_locked(const std::string& path, long long bytes)
       CRUSADE_REQUIRES(mu_);
+  void untrack_file_locked(const std::string& path) CRUSADE_REQUIRES(mu_);
   void remove_spool_file(const std::string& path) CRUSADE_EXCLUDES(mu_);
   /// Evicts cheapest-to-recompute cache entries until `need` more bytes fit
   /// under the disk budget (or the cache is empty).  Returns true when the
   /// budget can now admit `need` bytes.
   bool evict_cache_for_space_locked(long long need) CRUSADE_REQUIRES(mu_);
-  void recover_spool() CRUSADE_REQUIRES(mu_);
+  /// Installs what the boot scan verified — ledger, cache, terminal
+  /// answers, queued jobs — and applies the retention bounds to it.
+  void install_spool_locked(SpoolScan scan) CRUSADE_REQUIRES(mu_);
   void spool_job(const Job& job) CRUSADE_REQUIRES(mu_);
-  /// Appends one record to the write-ahead journal, tracking the journal's
-  /// growth in the disk ledger.  A failed append (torn tail, disk full,
-  /// journal-less incarnation) is counted and the service keeps going —
-  /// durability accounting degrades, the service never wedges.
-  void journal_append_locked(const JournalRecord& record)
-      CRUSADE_REQUIRES(mu_);
-  /// Durable-then-visible: writes the job's terminal answer as a framed
-  /// CRES file and journals the Terminal record, BEFORE the caller
-  /// publishes the in-memory state.  Persist failures are counted and the
-  /// in-memory answer still serves this incarnation.
+  /// Durable-then-visible: replaces the job's record with its terminal
+  /// answer (framed CRES) BEFORE the caller publishes the in-memory state.
+  /// Throws Error, counted in result_persist_failures, when the answer
+  /// cannot be made durable (after a directory fsync failure the new record
+  /// has already reached its name; otherwise the old one is untouched).
   void persist_terminal_locked(Job& job) CRUSADE_REQUIRES(mu_);
-  /// Rebuilds the disk ledger from the actual bytes on disk; unattributable
-  /// bytes surface as stats_.ledger_drift_bytes + disk.ledger_drift.
-  void recount_disk_locked() CRUSADE_REQUIRES(mu_);
+  /// After the first record write of submit's job `id` threw `why`: true,
+  /// with the job withdrawn and `out` a typed rejection, when no record is
+  /// left on disk; false when a whole record reached its final name and
+  /// cannot be removed, so the job keeps it (charged to the ledger).
+  bool refuse_unrecorded_locked(std::uint64_t id, const std::string& why,
+                                SubmitOutcome* out) CRUSADE_REQUIRES(mu_);
   std::string job_spool_path(std::uint64_t id) const;
   std::string ckpt_spool_path(std::uint64_t id) const;
   std::string result_spool_path(std::uint64_t id) const;
   std::string trace_spool_path(std::uint64_t id, int attempt) const;
   std::string flight_spool_path(std::uint64_t id, int attempt) const;
   std::string cache_path(std::uint64_t key) const;
-  std::string durable_result_path(std::uint64_t id) const;
-  std::string journal_path() const;
   long busy_retry_hint_locked() const CRUSADE_REQUIRES(mu_);
   JobStatus snapshot_locked(const Job& job) const CRUSADE_REQUIRES(mu_);
   /// work_cv_ predicates (annotated helpers, not lambdas — see
@@ -414,7 +414,7 @@ class Service {
   /// nothing today, but crusade-check C001 enforces the habit in the
   /// decision-making subsystems).
   std::unordered_map<std::uint64_t, CacheEntry> cache_ CRUSADE_GUARDED_BY(mu_);
-  /// Eviction order: (cost_ms, key) ascending, so pressure always reclaims
+  /// Eviction order: (cost_us, key) ascending, so pressure always reclaims
   /// the entry that is cheapest to recompute.
   std::set<std::pair<long long, std::uint64_t>> cache_by_cost_
       CRUSADE_GUARDED_BY(mu_);
@@ -428,10 +428,6 @@ class Service {
   long long disk_used_ CRUSADE_GUARDED_BY(mu_) = 0;
   /// Terminal jobs in completion order; the eviction window for jobs_.
   std::deque<std::uint64_t> terminal_order_ CRUSADE_GUARDED_BY(mu_);
-  /// Write-ahead journal (serve/durable.hpp).  Appended under mu_ only, so
-  /// journal order agrees with the in-memory transition order.  unique_ptr
-  /// because durable.hpp needs this header's types.
-  std::unique_ptr<Journal> journal_ CRUSADE_GUARDED_BY(mu_);
   ServiceStats stats_ CRUSADE_GUARDED_BY(mu_);
   /// Latency histograms (µs).  Internally atomic — recorded outside mu_ on
   /// purpose so the hot path never takes the service lock for metrics.

@@ -990,11 +990,11 @@ TEST(ServeChaosTest, TornSpoolWriteQuarantinedOnRecovery) {
     service.stop(false);  // hard stop: the torn file is all that remains
   }
 
-  // Recovery must detect the torn frame, quarantine it with the evidence
+  // Recovery must detect the torn record, quarantine it with the evidence
   // intact, and keep serving — never re-admit garbage, never crash.  The
-  // admission was acknowledged and journaled, so the job does not vanish:
-  // fsck writes a failed-honest tombstone that status() serves instead of
-  // a not-found lie.
+  // admission was acknowledged, so the job does not vanish: the boot scan
+  // writes a failed-honest tombstone in the record's place, which status()
+  // serves instead of a not-found lie.
   Service service(fast_config(spool.path));
   EXPECT_EQ(service.recovered_jobs(), 0);
   EXPECT_EQ(service.stats().spool_quarantined, 1);
@@ -1013,69 +1013,6 @@ TEST(ServeChaosTest, TornSpoolWriteQuarantinedOnRecovery) {
   ASSERT_TRUE(out.admitted);
   wait_terminal(service, out.id);
   service.stop(true);
-}
-
-// --- durability: the write-ahead journal -------------------------------------
-
-TEST(ServeDurabilityTest, JournalAppendReplayTornTailAndRewrite) {
-  TempSpool spool("serve_test_journal");
-  ASSERT_EQ(::mkdir(spool.path.c_str(), 0755), 0);
-  const std::string wal = spool.path + "/wal";
-
-  JournalRecord admitted;
-  admitted.type = JournalRecordType::Admitted;
-  admitted.id = 7;
-  admitted.kind = static_cast<std::uint8_t>(JobKind::Lint);
-  admitted.spec_fnv = 0x1234;
-  JournalRecord terminal;
-  terminal.type = JournalRecordType::Terminal;
-  terminal.id = 7;
-  terminal.outcome = static_cast<std::uint8_t>(JobOutcome::Ok);
-  terminal.attempts = 1;
-  terminal.result_fnv = 0x5678;
-  {
-    Journal journal;
-    ASSERT_TRUE(journal.open(wal));
-    ASSERT_GT(journal.append(admitted), 0u);
-    ASSERT_GT(journal.append(terminal), 0u);
-    EXPECT_EQ(journal.append_failures(), 0u);
-  }
-
-  JournalReplay replayed = Journal::replay(wal);
-  EXPECT_TRUE(replayed.header_error.empty()) << replayed.header_error;
-  EXPECT_FALSE(replayed.torn_tail);
-  ASSERT_EQ(replayed.records.size(), 2u);
-  EXPECT_EQ(replayed.records[0].type, JournalRecordType::Admitted);
-  EXPECT_EQ(replayed.records[0].spec_fnv, 0x1234u);
-  EXPECT_EQ(replayed.records[1].type, JournalRecordType::Terminal);
-  EXPECT_EQ(replayed.records[1].result_fnv, 0x5678u);
-  const std::uint64_t whole = replayed.valid_bytes;
-
-  // A torn append (power loss mid-write) must not poison the valid prefix.
-  {
-    std::ofstream tear(wal, std::ios::binary | std::ios::app);
-    tear << "torn";
-  }
-  replayed = Journal::replay(wal);
-  EXPECT_TRUE(replayed.torn_tail);
-  ASSERT_EQ(replayed.records.size(), 2u);
-  EXPECT_EQ(replayed.valid_bytes, whole);
-  ASSERT_TRUE(Journal::truncate_tail(wal, replayed.valid_bytes));
-  replayed = Journal::replay(wal);
-  EXPECT_FALSE(replayed.torn_tail);
-  EXPECT_EQ(replayed.records.size(), 2u);
-
-  // A foreign header can only be rebuilt, never trusted.
-  atomic_write_file(wal, "XXXXnot-a-journal");
-  replayed = Journal::replay(wal);
-  EXPECT_FALSE(replayed.header_error.empty());
-
-  // Compaction rewrite: exactly the handed-over records come back.
-  ASSERT_TRUE(Journal::rewrite(wal, {admitted}));
-  replayed = Journal::replay(wal);
-  EXPECT_TRUE(replayed.header_error.empty()) << replayed.header_error;
-  ASSERT_EQ(replayed.records.size(), 1u);
-  EXPECT_EQ(replayed.records[0].id, 7u);
 }
 
 // --- durability: results across hard restarts --------------------------------
@@ -1198,85 +1135,57 @@ TEST(ServeDurabilityTest, RestartStormZeroLossZeroDuplicates) {
 
 namespace fscktest {
 
-/// A framed spool job entry as spool_job writes it.
+/// A queued job record as spool_job writes it.
 std::string job_frame(std::uint64_t id) {
-  Request frame;
+  Request frame = make_submit_request(make_request("# spec\n", JobKind::Lint));
   frame.verb = "JOB";
   frame.fields["id"] = std::to_string(id);
   return encode_request(frame);
 }
 
-/// Seeds one instance of every repairable corruption class under `root`:
-///   jobs/2.job     valid + admitted (healthy: must be left alone)
-///   jobs/3.job     stale (journal says terminal, result evicted)
-///   jobs/6.job     orphan (journal never admitted it)
-///   jobs/8.job     corrupt frame
-///   results/1.res  orphan result (no terminal record)
-///   results/9.res  corrupt result
-///   id 4           terminal in the journal, result file missing
-///   id 5           admitted, no frame, no result (lost)
+std::string record_path(const std::string& root, std::uint64_t id) {
+  return root + "/jobs/" + std::to_string(id) + ".job";
+}
+
+/// Seeds one instance of every finding class under `root`, next to a
+/// healthy queued and a healthy terminal record:
+///   jobs/2.job     queued record (healthy: must be left alone)
+///   jobs/3.job     terminal record (healthy: must be left alone)
+///   jobs/8.job     corrupt record
+///   jobs/9.job     unreadable record (a directory where a file belongs)
 ///   cache/*.res    corrupt cache entry
 ///   .tmp.123       atomic-write debris
 ///   jobs/notes.txt unattributable bytes (ledger drift)
-/// plus a torn journal tail.
 void seed_corrupt_spool(const std::string& root) {
-  for (const std::string& dir :
-       {root, root + "/jobs", root + "/results", root + "/cache",
-        root + "/journal"})
+  for (const std::string& dir : {root, root + "/jobs", root + "/cache"})
     ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0) << dir;
-  {
-    Journal journal;
-    ASSERT_TRUE(journal.open(root + "/journal/wal"));
-    JournalRecord rec;
-    rec.type = JournalRecordType::Admitted;
-    rec.id = 2;
-    rec.spec_fnv = ckpt::fnv1a(job_frame(2));
-    ASSERT_GT(journal.append(rec), 0u);
-    rec.id = 3;
-    ASSERT_GT(journal.append(rec), 0u);
-    rec.type = JournalRecordType::Terminal;
-    rec.outcome = static_cast<std::uint8_t>(JobOutcome::Ok);
-    rec.attempts = 1;
-    ASSERT_GT(journal.append(rec), 0u);
-    rec.type = JournalRecordType::ResultEvicted;
-    ASSERT_GT(journal.append(rec), 0u);
-    rec = JournalRecord{};
-    rec.type = JournalRecordType::Admitted;
-    rec.id = 4;
-    ASSERT_GT(journal.append(rec), 0u);
-    rec.type = JournalRecordType::Terminal;
-    rec.outcome = static_cast<std::uint8_t>(JobOutcome::Ok);
-    rec.attempts = 1;
-    ASSERT_GT(journal.append(rec), 0u);
-    rec = JournalRecord{};
-    rec.type = JournalRecordType::Admitted;
-    rec.id = 5;
-    ASSERT_GT(journal.append(rec), 0u);
-  }
-  {
-    std::ofstream tear(root + "/journal/wal",
-                       std::ios::binary | std::ios::app);
-    tear << "torn";
-  }
-  for (const std::uint64_t id : {2ull, 3ull, 6ull})
-    diskfmt::write_framed_file(root + "/jobs/" + std::to_string(id) + ".job",
-                               kSpoolJobMagic, kSpoolJobVersion,
-                               job_frame(id));
-  atomic_write_file(root + "/jobs/8.job", "not a framed job at all");
-  DurableResult orphan;
-  orphan.id = 1;
-  orphan.kind = JobKind::Lint;
-  orphan.outcome = JobOutcome::Ok;
-  orphan.attempts = 1;
-  orphan.finish_seq = 1;
-  orphan.body = "{\"ok\":true}";
-  diskfmt::write_framed_file(root + "/results/1.res", kDurableResultMagic,
+  diskfmt::write_framed_file(record_path(root, 2), kSpoolJobMagic,
+                             kSpoolJobVersion, job_frame(2));
+  DurableResult done;
+  done.id = 3;
+  done.kind = JobKind::Lint;
+  done.outcome = JobOutcome::Ok;
+  done.attempts = 1;
+  done.finish_seq = 1;
+  done.body = "{\"ok\":true}";
+  diskfmt::write_framed_file(record_path(root, 3), kDurableResultMagic,
                              kDurableResultVersion,
-                             encode_durable_result(orphan));
-  atomic_write_file(root + "/results/9.res", "definitely not a result");
+                             encode_durable_result(done));
+  atomic_write_file(record_path(root, 8), "not a framed job at all");
+  ASSERT_EQ(::mkdir(record_path(root, 9).c_str(), 0755), 0);
   atomic_write_file(root + "/cache/0123456789abcdef.res", "stale cache junk");
   atomic_write_file(root + "/.tmp.123", "atomic-write leftovers");
   atomic_write_file(root + "/jobs/notes.txt", "who put this here");
+}
+
+/// A scrub of a repaired spool finds only what no repair can fix: the
+/// drift bytes and the unreadable record.
+void expect_converged(const FsckReport& report) {
+  EXPECT_EQ(report.repair_failures, 0) << report.to_json();
+  for (const FsckItem& item : report.items)
+    EXPECT_TRUE(item.finding == FsckFinding::LedgerDrift ||
+                item.finding == FsckFinding::UnreadableFile)
+        << to_string(item.finding) << " " << item.path << " " << item.action;
 }
 
 }  // namespace fscktest
@@ -1284,50 +1193,61 @@ void seed_corrupt_spool(const std::string& root) {
 TEST(ServeFsckTest, RepairsEverySeededCorruptionClass) {
   TempSpool spool("serve_test_fsck");
   fscktest::seed_corrupt_spool(spool.path);
+  const std::string queued = read_file(fscktest::record_path(spool.path, 2));
+  const std::string terminal = read_file(fscktest::record_path(spool.path, 3));
 
-  const FsckReport report = fsck_spool(spool.path, /*repair=*/true);
-  EXPECT_EQ(report.count(FsckFinding::TornJournalTail), 1);
+  const SpoolScan scan = scan_spool(spool.path, /*repair=*/true);
+  const FsckReport& report = scan.report;
   EXPECT_EQ(report.count(FsckFinding::CorruptSpoolEntry), 1);
-  EXPECT_EQ(report.count(FsckFinding::OrphanSpoolEntry), 1);
-  EXPECT_EQ(report.count(FsckFinding::StaleSpoolEntry), 1);
-  EXPECT_EQ(report.count(FsckFinding::CorruptResult), 1);
-  EXPECT_EQ(report.count(FsckFinding::OrphanResult), 1);
-  EXPECT_EQ(report.count(FsckFinding::MissingResult), 1);
-  EXPECT_EQ(report.count(FsckFinding::LostSpoolEntry), 1);
+  EXPECT_EQ(report.count(FsckFinding::UnreadableFile), 1);
   EXPECT_EQ(report.count(FsckFinding::CorruptCacheEntry), 1);
   EXPECT_EQ(report.count(FsckFinding::TempDebris), 1);
   EXPECT_EQ(report.count(FsckFinding::LedgerDrift), 1);
+  EXPECT_EQ(report.quarantines, 1);
   EXPECT_EQ(report.repair_failures, 0) << report.to_json();
 
+  // What the scan hands to Service: the queued job, the terminal answer
+  // plus the tombstone, and ids above every file name — the unreadable
+  // record's included.
+  ASSERT_EQ(scan.queued.size(), 1u);
+  EXPECT_EQ(scan.queued[0].first, 2u);
+  std::set<std::uint64_t> terminal_ids;
+  for (const DurableResult& r : scan.terminal) terminal_ids.insert(r.id);
+  EXPECT_EQ(terminal_ids, (std::set<std::uint64_t>{3, 8}));
+  EXPECT_TRUE(scan.cache.empty());
+  EXPECT_EQ(scan.max_id, 9u);
+  long long ledger = 0;
+  for (const auto& [path, bytes] : scan.files) ledger += bytes;
+  EXPECT_EQ(ledger, report.disk_bytes);
+
   // The world after repair: evidence kept, garbage gone, promises honest.
+  EXPECT_EQ(read_file(fscktest::record_path(spool.path, 2)), queued)
+      << "healthy queued record must survive untouched";
+  EXPECT_EQ(read_file(fscktest::record_path(spool.path, 3)), terminal)
+      << "healthy terminal record must survive untouched";
+  EXPECT_EQ(diskfmt::read_framed_file(
+                fscktest::record_path(spool.path, 8) + ".corrupt",
+                kEvidenceMagic, kEvidenceVersion)
+                .payload,
+            "not a framed job at all")
+      << "corrupt record quarantined with its exact bytes as evidence";
+  const DurableResult tomb = decode_durable_result(
+      diskfmt::read_framed_file(fscktest::record_path(spool.path, 8),
+                                kDurableResultMagic, kDurableResultVersion)
+          .payload);
+  EXPECT_EQ(tomb.outcome, JobOutcome::FailedHonest);
+  EXPECT_FALSE(tomb.detail.empty());
+  EXPECT_NE(tomb.body.find("fsck-lost-job"), std::string::npos);
   struct stat st;
-  EXPECT_EQ(::stat((spool.path + "/jobs/2.job").c_str(), &st), 0)
-      << "healthy entry must survive untouched";
-  EXPECT_NE(::stat((spool.path + "/jobs/3.job").c_str(), &st), 0)
-      << "stale frame must be removed, not re-executed";
-  EXPECT_EQ(::stat((spool.path + "/jobs/8.job.corrupt").c_str(), &st), 0)
-      << "corrupt frame quarantined with evidence";
-  EXPECT_EQ(::stat((spool.path + "/results/9.res.corrupt").c_str(), &st), 0);
+  EXPECT_EQ(::stat(fscktest::record_path(spool.path, 9).c_str(), &st), 0)
+      << "an unreadable record is left in place";
   EXPECT_NE(::stat((spool.path + "/cache/0123456789abcdef.res").c_str(), &st),
             0);
   EXPECT_NE(::stat((spool.path + "/.tmp.123").c_str(), &st), 0);
-  for (const std::uint64_t id : {4ull, 5ull}) {
-    const std::string path =
-        spool.path + "/results/" + std::to_string(id) + ".res";
-    const DurableResult tomb = decode_durable_result(
-        diskfmt::read_framed_file(path, kDurableResultMagic,
-                                  kDurableResultVersion)
-            .payload);
-    EXPECT_EQ(tomb.outcome, JobOutcome::FailedHonest) << id;
-    EXPECT_FALSE(tomb.detail.empty()) << id;
-  }
 
-  // Idempotence: a second scrub finds nothing but the (deliberately
-  // unrepairable) drift bytes still sitting in jobs/.
-  const FsckReport second = fsck_spool(spool.path, /*repair=*/true);
-  for (const FsckItem& item : second.items)
-    EXPECT_EQ(item.finding, FsckFinding::LedgerDrift)
-        << to_string(item.finding) << " " << item.path << " " << item.action;
+  // Idempotence: a second scrub finds only the deliberately unrepairable
+  // drift bytes and unreadable record.
+  fscktest::expect_converged(fsck_spool(spool.path, /*repair=*/true));
 }
 
 TEST(ServeFsckTest, DetectOnlyModeChangesNothing) {
@@ -1341,10 +1261,15 @@ TEST(ServeFsckTest, DetectOnlyModeChangesNothing) {
     if (item.finding == FsckFinding::LedgerDrift) continue;
     EXPECT_EQ(item.action.substr(0, 8), "detected") << item.action;
   }
-  // Nothing on disk moved: the corrupt frame is still in place, unrenamed.
+  // Nothing on disk moved: the corrupt record is still in place, no
+  // evidence or tombstone written, the debris still there.
+  EXPECT_EQ(read_file(fscktest::record_path(spool.path, 8)),
+            "not a framed job at all");
   struct stat st;
-  EXPECT_EQ(::stat((spool.path + "/jobs/8.job").c_str(), &st), 0);
-  EXPECT_NE(::stat((spool.path + "/jobs/8.job.corrupt").c_str(), &st), 0);
+  EXPECT_NE(
+      ::stat((fscktest::record_path(spool.path, 8) + ".corrupt").c_str(), &st),
+      0);
+  EXPECT_EQ(::stat((spool.path + "/.tmp.123").c_str(), &st), 0);
   // A repairing pass over the same spool then converges.
   const FsckReport repaired = fsck_spool(spool.path, /*repair=*/true);
   EXPECT_GT(repaired.repairs, 0);
@@ -1354,6 +1279,8 @@ TEST(ServeFsckTest, SurvivesChaosAndConvergesOnceCalm) {
   ChaosGuard guard;
   TempSpool spool("serve_test_fsck_chaos");
   fscktest::seed_corrupt_spool(spool.path);
+  const std::string queued = read_file(fscktest::record_path(spool.path, 2));
+  const std::string terminal = read_file(fscktest::record_path(spool.path, 3));
 
   // Every repair path runs through the iofault seam: with faults armed at
   // a high rate the scrub must return (never throw), counting what the
@@ -1367,13 +1294,127 @@ TEST(ServeFsckTest, SurvivesChaosAndConvergesOnceCalm) {
   EXPECT_GT(iofault::counters().total, 0u) << "chaos never actually fired";
   (void)stormy;  // returning at all is the contract under chaos
 
-  // Once the weather clears, repeated calm scrubs reach the same clean
-  // fixpoint as an unmolested repair run.
+  // The storm never touched a healthy record, and once the weather clears,
+  // repeated calm scrubs reach the same fixpoint as an unmolested repair.
+  EXPECT_EQ(read_file(fscktest::record_path(spool.path, 2)), queued);
+  EXPECT_EQ(read_file(fscktest::record_path(spool.path, 3)), terminal);
   (void)fsck_spool(spool.path, /*repair=*/true);
-  const FsckReport final_pass = fsck_spool(spool.path, /*repair=*/true);
-  for (const FsckItem& item : final_pass.items)
-    EXPECT_EQ(item.finding, FsckFinding::LedgerDrift)
-        << to_string(item.finding) << " " << item.path << " " << item.action;
+  fscktest::expect_converged(fsck_spool(spool.path, /*repair=*/true));
+}
+
+TEST(ServeFsckTest, CorruptRecordIsNeverLeftWithoutItsTombstone) {
+  ChaosGuard guard;
+  TempSpool spool("serve_test_fsck_tomb");
+  const std::string garbage = "not a framed job at all";
+  const std::string record = fscktest::record_path(spool.path, 8);
+  int refused = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    std::system(("rm -rf " + spool.path).c_str());
+    for (const std::string& dir : {spool.path, spool.path + "/jobs"})
+      ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0) << dir;
+    atomic_write_file(record, garbage);
+    iofault::Plan plan;  // default kinds: the full fault menagerie
+    plan.seed = seed;
+    plan.rate = 0.5;
+    iofault::arm(plan);
+    refused += fsck_spool(spool.path, /*repair=*/true).repair_failures;
+    iofault::disarm();
+    // Whatever the storm refused, the job keeps a record: the corrupt
+    // original, or a tombstone written after its evidence.
+    std::string now;
+    ASSERT_NO_THROW(now = read_file(record)) << "seed " << seed;
+    if (now != garbage) {
+      EXPECT_NO_THROW((void)read_file(record + ".corrupt"))
+          << "seed " << seed << ": tombstone without evidence";
+    }
+    // Once calm, the scrub finishes the job: tombstone plus evidence.
+    (void)fsck_spool(spool.path, /*repair=*/true);
+    const DurableResult tomb = decode_durable_result(
+        diskfmt::read_framed_file(record, kDurableResultMagic,
+                                  kDurableResultVersion)
+            .payload);
+    EXPECT_EQ(tomb.outcome, JobOutcome::FailedHonest) << "seed " << seed;
+    EXPECT_NO_THROW((void)read_file(record + ".corrupt")) << "seed " << seed;
+  }
+  EXPECT_GT(refused, 0) << "the storm never refused a repair";
+}
+
+TEST(ServeFsckTest, TransientReadErrorsNeverDestroyAnAnswer) {
+  ChaosGuard guard;
+  TempSpool spool("serve_test_fsck_eio");
+  std::uint64_t done_id = 0;
+  std::uint64_t queued_id = 0;
+  std::string done_json, done_body;
+  {
+    Service service(fast_config(spool.path));
+    const SubmitOutcome out =
+        service.submit(make_request(quickstart_text(), JobKind::Lint));
+    ASSERT_TRUE(out.admitted);
+    done_id = out.id;
+    EXPECT_EQ(wait_terminal(service, done_id).outcome, JobOutcome::Ok);
+    done_json = to_json(*service.status(done_id));
+    done_body = *service.result_body(done_id);
+    service.stop(true);
+  }
+  {
+    ServiceConfig cfg = fast_config(spool.path);
+    cfg.start_paused = true;
+    Service service(cfg);
+    const SubmitOutcome out = service.submit(
+        make_request(quickstart_text() + "\n# parked\n", JobKind::Lint));
+    ASSERT_TRUE(out.admitted);
+    queued_id = out.id;
+    service.stop(false);  // hard stop: the queued record stays
+  }
+  const std::string done_path = fscktest::record_path(spool.path, done_id);
+  const std::string queued_path = fscktest::record_path(spool.path, queued_id);
+  const std::string done_record = read_file(done_path);
+  const std::string queued_record = read_file(queued_path);
+
+  // EIO on reads, at the chaos campaign's rate and far above it: a record
+  // the scan cannot read is reported and left alone, never quarantined and
+  // never tombstoned.
+  iofault::Plan plan;
+  plan.kinds = 1u << static_cast<unsigned>(iofault::Kind::Eio);
+  for (const double rate : {0.02, 0.5}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      plan.seed = seed;
+      plan.rate = rate;
+      iofault::arm(plan);
+      const FsckReport report = fsck_spool(spool.path, /*repair=*/true);
+      iofault::disarm();
+      EXPECT_EQ(report.count(FsckFinding::CorruptSpoolEntry), 0)
+          << "rate " << rate << " seed " << seed;
+      EXPECT_EQ(report.quarantines, 0);
+      EXPECT_EQ(read_file(done_path), done_record);
+      EXPECT_EQ(read_file(queued_path), queued_record);
+    }
+  }
+  EXPECT_GT(iofault::counters().total, 0u) << "chaos never actually fired";
+  // The service boots under the same weather (it arms no plan of its own
+  // here, so the test's stays in force).
+  plan.seed = 7;
+  plan.rate = 0.5;
+  iofault::arm(plan);
+  {
+    ServiceConfig cfg = fast_config(spool.path);
+    cfg.start_paused = true;
+    Service service(cfg);
+    service.stop(false);
+  }
+  iofault::disarm();
+  struct stat st;
+  EXPECT_NE(::stat((done_path + ".corrupt").c_str(), &st), 0);
+  EXPECT_NE(::stat((queued_path + ".corrupt").c_str(), &st), 0);
+
+  // A calm restart answers bit-identically and still owes the queued job.
+  Service service(fast_config(spool.path));
+  ASSERT_TRUE(service.status(done_id).has_value());
+  EXPECT_EQ(to_json(*service.status(done_id)), done_json);
+  EXPECT_EQ(*service.result_body(done_id), done_body);
+  EXPECT_EQ(service.recovered_jobs(), 1);
+  EXPECT_EQ(wait_terminal(service, queued_id).outcome, JobOutcome::Ok);
+  service.stop(true);
 }
 
 TEST(ServeDurabilityTest, QuarantineEvidenceChargedAndCappedOldestFirst) {
@@ -1493,6 +1534,433 @@ TEST(ServeServiceTest, CacheEvictsCheapestToRecomputeNotOldest) {
   wait_terminal(service, run_again.id);
   wait_terminal(service, lint_again.id);
   service.stop(true);
+}
+
+TEST(ServeServiceTest, CacheReloadKeepsTheCostliestEntries) {
+  TempSpool spool("serve_test_cachecap");
+  {
+    Service bootstrap(fast_config(spool.path));  // lays out the spool
+    bootstrap.stop(true);
+  }
+  // Entries costing 2 ms, 5 ms and 40 s of CPU, named so the costliest
+  // sorts last: a restart that keeps a name-sorted prefix would lose it.
+  const struct {
+    const char* key;
+    long long cost_us;
+  } entries[] = {{"00000000000000a1", 2000},
+                 {"00000000000000a2", 5000},
+                 {"00000000000000a3", 40000000}};
+  for (const auto& entry : entries) {
+    ckpt::BinWriter w;
+    w.u64(static_cast<std::uint64_t>(entry.cost_us));
+    w.str(std::string("{\"answer\":\"") + entry.key + "\"}");
+    diskfmt::write_framed_file(
+        spool.path + "/cache/" + entry.key + ".res", kCacheEntryMagic,
+        kCacheEntryVersion, w.bytes());
+  }
+  ServiceConfig cfg = fast_config(spool.path);
+  cfg.cache_capacity = 1;
+  Service service(cfg);
+  EXPECT_EQ(service.stats().cache_evictions, 2);
+  struct stat st;
+  EXPECT_EQ(::stat((spool.path + "/cache/00000000000000a3.res").c_str(), &st),
+            0)
+      << "the 40 s entry must survive the restart";
+  for (const char* cheap : {"00000000000000a1", "00000000000000a2"})
+    EXPECT_NE(
+        ::stat((spool.path + "/cache/" + cheap + ".res").c_str(), &st), 0)
+        << cheap;
+  service.stop(true);
+}
+
+TEST(ServeChaosTest, RejectedSubmitLeavesNoRecordBehind) {
+  ChaosGuard guard;
+  TempSpool spool("serve_test_dirfsync");
+  const auto records = [&] {
+    int n = 0;
+    DIR* d = ::opendir((spool.path + "/jobs").c_str());
+    EXPECT_NE(d, nullptr);
+    if (d == nullptr) return n;
+    while (dirent* e = ::readdir(d)) {
+      const std::string name = e->d_name;
+      if (name.size() > 4 && name.substr(name.size() - 4) == ".job") ++n;
+    }
+    ::closedir(d);
+    return n;
+  };
+  int admitted = 0;
+  bool dir_fsync_rejected = false;
+  {
+    ServiceConfig cfg = fast_config(spool.path);
+    cfg.start_paused = true;  // nothing runs; every record stays queued
+    Service service(cfg);
+    // fsync failures only: a submit fails at the temp file's fsync (before
+    // the rename) or at the directory's (after it, with the whole record
+    // already under its final name).  Seeds are tried until the latter.
+    iofault::Plan plan;
+    plan.rate = 0.5;
+    plan.kinds = 1u << static_cast<unsigned>(iofault::Kind::FsyncFail);
+    for (std::uint64_t seed = 1; seed <= 200 && !dir_fsync_rejected; ++seed) {
+      plan.seed = seed;
+      iofault::arm(plan);
+      const SubmitOutcome out = service.submit(make_request(
+          quickstart_text() + "\n# seed " + std::to_string(seed) + "\n",
+          JobKind::Lint));
+      iofault::disarm();
+      if (out.admitted) {
+        ++admitted;
+        continue;
+      }
+      EXPECT_NE(out.error.find("spool write failed"), std::string::npos)
+          << out.error;
+      dir_fsync_rejected =
+          out.error.find("cannot fsync directory") != std::string::npos;
+      EXPECT_EQ(records(), admitted) << "a rejected submit left its record";
+    }
+    EXPECT_GE(service.stats().journal_append_failures, 1);
+    service.stop(false);
+  }
+  ASSERT_TRUE(dir_fsync_rejected) << "no seed failed the directory fsync";
+  // A restart re-admits exactly the admitted jobs: the rejected one never
+  // runs.
+  Service service(fast_config(spool.path));
+  EXPECT_EQ(service.recovered_jobs(), admitted);
+  service.stop(false);
+}
+
+TEST(ServeChaosTest, FailedTerminalWriteKeepsTheJobQueued) {
+  ChaosGuard guard;
+  TempSpool spool("serve_test_termfail");
+  std::uint64_t id = 0;
+  {
+    ServiceConfig cfg = fast_config(spool.path);
+    cfg.start_paused = true;
+    Service service(cfg);
+    const SubmitOutcome out =
+        service.submit(make_request(quickstart_text(), JobKind::Lint));
+    ASSERT_TRUE(out.admitted);
+    id = out.id;
+    // Every rename fails while the cancel writes the terminal record.
+    iofault::Plan plan;
+    plan.seed = 5;
+    plan.rate = 1.0;
+    plan.kinds = 1u << static_cast<unsigned>(iofault::Kind::RenameFail);
+    iofault::arm(plan);
+    EXPECT_TRUE(service.cancel(id));
+    iofault::disarm();
+    EXPECT_EQ(service.status(id)->outcome, JobOutcome::Cancelled);
+    EXPECT_EQ(service.stats().result_persist_failures, 1);
+    service.stop(false);
+  }
+  // The answer given from memory did not survive, but the job did: its
+  // queued record re-runs it rather than leaving a not-found.
+  Service service(fast_config(spool.path));
+  EXPECT_EQ(service.recovered_jobs(), 1);
+  EXPECT_EQ(wait_terminal(service, id).outcome, JobOutcome::Ok);
+  service.stop(true);
+}
+
+TEST(ServeDurabilityTest, UnpersistedResultStaysQueuedAndReRuns) {
+  TempSpool spool("serve_test_persistfail");
+  const SubmitRequest req = make_request(quickstart_text(), JobKind::Lint);
+  std::uint64_t id = 0;
+  std::string body;
+  {
+    ServiceConfig cfg = fast_config(spool.path);
+    // Room for the request (the spec plus 512 bytes of headroom) but not
+    // for its answer on top of the attempt's flight-recorder file.
+    cfg.disk_budget_bytes = static_cast<long long>(req.spec_text.size()) + 600;
+    Service service(cfg);
+    const SubmitOutcome out = service.submit(req);
+    ASSERT_TRUE(out.admitted) << out.error;
+    id = out.id;
+    // The answer is still served, from memory, and the failure counted.
+    EXPECT_EQ(wait_terminal(service, id).outcome, JobOutcome::Ok);
+    body = *service.result_body(id);
+    EXPECT_EQ(service.stats().result_persist_failures, 1);
+    EXPECT_EQ(service.stats().results_persisted, 0);
+    service.stop(false);  // hard stop
+  }
+  // The queued record stayed, so a calm restart re-runs the job as
+  // recovered: never a not-found.
+  {
+    Service service(fast_config(spool.path));
+    EXPECT_EQ(service.recovered_jobs(), 1);
+    ASSERT_TRUE(service.status(id).has_value()) << "job " << id << " lost";
+    const JobStatus again = wait_terminal(service, id);
+    EXPECT_EQ(again.outcome, JobOutcome::Ok);
+    EXPECT_TRUE(again.recovered);
+    EXPECT_EQ(*service.result_body(id), body);
+    EXPECT_EQ(service.stats().results_persisted, 1);
+    service.stop(true);
+  }
+  // Persisted this time: the next incarnation owes it nothing.
+  Service service(fast_config(spool.path));
+  EXPECT_EQ(service.recovered_jobs(), 0);
+  EXPECT_EQ(service.stats().results_recovered, 1);
+  EXPECT_EQ(*service.result_body(id), body);
+  service.stop(true);
+}
+
+TEST(ServeChaosTest, EveryIdAClientHoldsHasARecord) {
+  ChaosGuard guard;
+  TempSpool spool("serve_test_idrecord");
+  const SubmitRequest cached = make_request(quickstart_text(), JobKind::Lint);
+  std::string answer;
+  {
+    Service service(fast_config(spool.path));  // calm: fills the cache
+    const SubmitOutcome out = service.submit(cached);
+    ASSERT_TRUE(out.admitted);
+    EXPECT_EQ(wait_terminal(service, out.id).outcome, JobOutcome::Ok);
+    answer = *service.result_body(out.id);
+    service.stop(true);
+  }
+  // ENOSPC/EIO and fsync failures: a record write fails before its rename
+  // (no record reaches disk) or at the directory fsync after it (a whole
+  // record does), and an unlink can fail without unlinking — a refusal
+  // must not hinge on it.  Rate 1 fails every write and every unlink.
+  std::map<std::uint64_t, bool> held;  // id -> served from the cache
+  int held_hits = 0;
+  int refused_hits = 0;
+  int refused_admissions = 0;
+  int queued = 0;
+  {
+    ServiceConfig cfg = fast_config(spool.path);
+    cfg.start_paused = true;  // nothing runs; admitted jobs stay queued
+    Service service(cfg);
+    iofault::Plan plan;
+    plan.kinds = (1u << static_cast<unsigned>(iofault::Kind::Enospc)) |
+                 (1u << static_cast<unsigned>(iofault::Kind::Eio)) |
+                 (1u << static_cast<unsigned>(iofault::Kind::FsyncFail));
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+      plan.seed = seed;
+      plan.rate = seed == 1 ? 1.0 : 0.5;
+      iofault::arm(plan);
+      const SubmitOutcome hit = service.submit(cached);
+      const SubmitOutcome fresh = service.submit(make_request(
+          quickstart_text() + "\n# seed " + std::to_string(seed) + "\n",
+          JobKind::Lint));
+      iofault::disarm();
+      for (const SubmitOutcome* out : {&hit, &fresh}) {
+        if (out->admitted) {
+          held[out->id] = out->cached;
+          continue;
+        }
+        EXPECT_NE(out->error.find("spool write failed"), std::string::npos)
+            << out->error;
+      }
+      if (hit.admitted) {
+        EXPECT_TRUE(hit.cached);
+        ++held_hits;
+      } else {
+        ++refused_hits;
+      }
+      if (fresh.admitted) ++queued;
+      else ++refused_admissions;
+    }
+    service.stop(false);  // hard stop
+  }
+  EXPECT_GT(refused_hits, 0);
+  EXPECT_GT(refused_admissions, 0);
+  ASSERT_FALSE(held.empty());
+  // A calm restart answers every id a client was given — a hit with the
+  // cached answer, an admission as a recovered job — and nothing else, and
+  // issues new ids above all of them.
+  ServiceConfig cfg = fast_config(spool.path);
+  cfg.start_paused = true;
+  Service service(cfg);
+  EXPECT_EQ(service.recovered_jobs(), queued);
+  EXPECT_EQ(service.stats().results_recovered, held_hits + 1);
+  for (const auto& [id, was_hit] : held) {
+    const std::optional<JobStatus> status = service.status(id);
+    ASSERT_TRUE(status.has_value()) << "id " << id << " unknown after restart";
+    if (was_hit) {
+      EXPECT_EQ(status->state, JobState::Done);
+      EXPECT_EQ(*service.result_body(id), answer);
+    } else {
+      EXPECT_TRUE(status->recovered) << "id " << id;
+    }
+  }
+  const SubmitOutcome next = service.submit(
+      make_request(quickstart_text() + "\n# after\n", JobKind::Lint));
+  ASSERT_TRUE(next.admitted);
+  EXPECT_GT(next.id, held.rbegin()->first);
+  service.stop(false);
+}
+
+TEST(ServeDurabilityTest, JournalLayoutSpoolIsMigrated) {
+  ChaosGuard guard;
+  TempSpool spool("serve_test_legacy");
+  const std::string& root = spool.path;
+  for (const std::string& dir : {root, root + "/jobs", root + "/cache",
+                                 root + "/results", root + "/journal"})
+    ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0) << dir;
+  // The journal layout: job 3's queued frame left next to its answer in
+  // results/ (that layout's persist window), job 5 a cache hit with an
+  // answer and no frame, and the journal itself.
+  diskfmt::write_framed_file(fscktest::record_path(root, 3), kSpoolJobMagic,
+                             kSpoolJobVersion, fscktest::job_frame(3));
+  for (const std::uint64_t id : {3, 5}) {
+    DurableResult r;
+    r.id = id;
+    r.kind = JobKind::Lint;
+    r.outcome = JobOutcome::Ok;
+    r.cached = id == 5;
+    r.finish_seq = static_cast<int>(id);
+    r.body = "{\"answer\":" + std::to_string(id) + "}";
+    diskfmt::write_framed_file(root + "/results/" + std::to_string(id) + ".res",
+                               kDurableResultMagic, kDurableResultVersion,
+                               encode_durable_result(r));
+  }
+  atomic_write_file(root + "/journal/wal", "journal bytes");
+
+  std::map<std::uint64_t, std::string> answers;
+  struct stat st;
+  {
+    // Every rename fails: no answer can move, so each is read where it is
+    // and job 3's stale frame is not run.
+    iofault::Plan plan;
+    plan.seed = 9;
+    plan.rate = 1.0;
+    plan.kinds = 1u << static_cast<unsigned>(iofault::Kind::RenameFail);
+    iofault::arm(plan);
+    ServiceConfig cfg = fast_config(root);
+    cfg.start_paused = true;
+    Service service(cfg);
+    iofault::disarm();
+    EXPECT_EQ(service.recovered_jobs(), 0) << "an answered job ran again";
+    for (const std::uint64_t id : {3, 5}) {
+      ASSERT_TRUE(service.status(id).has_value()) << "job " << id;
+      EXPECT_EQ(service.status(id)->state, JobState::Done);
+      EXPECT_EQ(*service.result_body(id),
+                "{\"answer\":" + std::to_string(id) + "}");
+      answers[id] = to_json(*service.status(id));
+    }
+    service.stop(false);
+  }
+  EXPECT_EQ(::stat((root + "/results/3.res").c_str(), &st), 0);
+  {
+    Service service(fast_config(root));  // calm: the answers move
+    EXPECT_EQ(service.recovered_jobs(), 0) << "an answered job ran again";
+    for (const auto& [id, json] : answers) {
+      ASSERT_TRUE(service.status(id).has_value()) << "job " << id;
+      EXPECT_EQ(to_json(*service.status(id)), json);
+    }
+    EXPECT_EQ(service.stats().ledger_drift_bytes, 0);
+    const SubmitOutcome next =
+        service.submit(make_request(quickstart_text(), JobKind::Lint));
+    ASSERT_TRUE(next.admitted);
+    EXPECT_EQ(next.id, 6u) << "a migrated answer's id was reissued";
+    wait_terminal(service, next.id);
+    service.stop(true);
+  }
+  EXPECT_NE(::stat((root + "/results").c_str(), &st), 0);
+  EXPECT_NE(::stat((root + "/journal").c_str(), &st), 0);
+  // The migrated answers are ordinary job records now.
+  Service service(fast_config(root));
+  for (const auto& [id, json] : answers) {
+    ASSERT_TRUE(service.status(id).has_value()) << "job " << id;
+    EXPECT_EQ(to_json(*service.status(id)), json);
+  }
+  service.stop(true);
+}
+
+TEST(ServeFsckTest, JournalLayoutMigrationUnderFaults) {
+  ChaosGuard guard;
+  TempSpool spool("serve_test_fsck_legacy");
+  const std::string& root = spool.path;
+  for (const std::string& dir :
+       {root, root + "/jobs", root + "/results", root + "/journal"})
+    ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0) << dir;
+  DurableResult answer;
+  answer.id = 5;
+  answer.kind = JobKind::Lint;
+  answer.outcome = JobOutcome::Ok;
+  answer.body = "{\"answer\":5}";
+  diskfmt::write_framed_file(root + "/results/5.res", kDurableResultMagic,
+                             kDurableResultVersion,
+                             encode_durable_result(answer));
+  iofault::Plan plan;
+  plan.seed = 4;
+  plan.rate = 1.0;
+  // A torn move puts half the answer under jobs/: the same scan's CRC
+  // catches it, and the job answers with a tombstone.
+  plan.kinds = 1u << static_cast<unsigned>(iofault::Kind::TornRename);
+  iofault::arm(plan);
+  const SpoolScan torn = scan_spool(root, /*repair=*/true);
+  iofault::disarm();
+  EXPECT_EQ(torn.report.count(FsckFinding::CorruptSpoolEntry), 1);
+  ASSERT_EQ(torn.terminal.size(), 1u);
+  EXPECT_EQ(torn.terminal[0].id, 5u);
+  EXPECT_NE(torn.terminal[0].body.find("fsck-lost-job"), std::string::npos);
+  // A journal the disk will not unlink stays, charged as drift, until a
+  // calm scrub removes it.
+  ASSERT_EQ(::mkdir((root + "/journal").c_str(), 0755), 0);
+  atomic_write_file(root + "/journal/wal", "journal bytes");
+  plan.kinds = 1u << static_cast<unsigned>(iofault::Kind::Eio);
+  iofault::arm(plan);
+  const FsckReport refused = fsck_spool(root, /*repair=*/true);
+  iofault::disarm();
+  EXPECT_EQ(refused.count(FsckFinding::LedgerDrift), 1) << refused.to_json();
+  struct stat st;
+  EXPECT_EQ(::stat((root + "/journal/wal").c_str(), &st), 0);
+  (void)fsck_spool(root, /*repair=*/true);
+  EXPECT_NE(::stat((root + "/journal").c_str(), &st), 0);
+  EXPECT_NE(::stat((root + "/results").c_str(), &st), 0);
+  fscktest::expect_converged(fsck_spool(root, /*repair=*/true));
+  const DurableResult tomb = decode_durable_result(
+      diskfmt::read_framed_file(fscktest::record_path(root, 5),
+                                kDurableResultMagic, kDurableResultVersion)
+          .payload);
+  EXPECT_EQ(tomb.outcome, JobOutcome::FailedHonest);
+}
+
+TEST(ServeDurabilityTest, RetentionKeepsACorruptRecordItCouldNotQuarantine) {
+  ChaosGuard guard;
+  TempSpool spool("serve_test_retainq");
+  for (const std::string& dir : {spool.path, spool.path + "/jobs"})
+    ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0) << dir;
+  for (const std::uint64_t id : {1, 2}) {
+    DurableResult r;
+    r.id = id;
+    r.kind = JobKind::Lint;
+    r.outcome = JobOutcome::Ok;
+    r.finish_seq = static_cast<int>(id);
+    r.body = "{\"ok\":true}";
+    diskfmt::write_framed_file(fscktest::record_path(spool.path, id),
+                               kDurableResultMagic, kDurableResultVersion,
+                               encode_durable_result(r));
+  }
+  const std::string garbage = "not a framed job at all";
+  const std::string record = fscktest::record_path(spool.path, 8);
+  atomic_write_file(record, garbage);
+  ServiceConfig cfg = fast_config(spool.path);
+  cfg.terminal_retain = 1;
+  {
+    // Every rename fails, so the scan writes neither evidence nor
+    // tombstone.  The tombstone it serves from memory has finish sequence
+    // 0 and leaves retention first; the record under it must stay.
+    iofault::Plan plan;
+    plan.seed = 3;
+    plan.rate = 1.0;
+    plan.kinds = 1u << static_cast<unsigned>(iofault::Kind::RenameFail);
+    iofault::arm(plan);
+    Service service(cfg);
+    iofault::disarm();
+    service.stop(false);
+  }
+  std::string left;
+  ASSERT_NO_THROW(left = read_file(record))
+      << "retention deleted a corrupt record with no evidence kept";
+  EXPECT_EQ(left, garbage);
+  {
+    Service service(cfg);  // calm: the scrub finishes the quarantine
+    service.stop(false);
+  }
+  EXPECT_EQ(diskfmt::read_framed_file(record + ".corrupt", kEvidenceMagic,
+                                      kEvidenceVersion)
+                .payload,
+            garbage);
 }
 
 // --- the seeded chaos campaign (acceptance criteria) -------------------------
@@ -1680,31 +2148,31 @@ TEST(ServeChaosTest, SeededCampaignZeroLostZeroDuplicatedAllHonest) {
 
   // --- incarnation 2: recovery with chaos still armed, then the rest
   std::map<std::uint64_t, int> admitted2;
+  std::vector<std::uint64_t> unread;
   std::size_t ids2_new = 0;
   {
     ServiceConfig cfg = base;
     cfg.chaos_seed = kSeed + 1;
     cfg.chaos_rate = 0.02;
     Service service(cfg);
-    const long long quarantined = service.stats().spool_quarantined;
 
-    // Every parked id either came back or was quarantined with evidence —
-    // nothing simply vanished.
-    int lost = 0;
-    for (const std::uint64_t id : parked)
-      if (!service.status(id).has_value()) ++lost;
-    EXPECT_LE(lost, quarantined)
-        << "jobs disappeared without quarantine evidence";
-    std::size_t seeded = 0;
-    for (const std::uint64_t id : parked)
-      if (service.status(id).has_value()) {
+    // Every parked id came back: re-admitted from its record, or answered
+    // by a tombstone in place of a corrupt one.  A record the chaos plan
+    // kept the scan from reading stays on disk untouched and is reported;
+    // the calm incarnation below must answer it.
+    for (const std::uint64_t id : parked) {
+      ids2.insert(id);  // survivors keep their ids: new ids must differ
+      if (service.status(id).has_value())
         admitted2.emplace(id, -1);
-        ids2.insert(id);  // survivors keep their ids: new ids must differ
-        ++seeded;
-      }
+      else
+        unread.push_back(id);
+    }
+    EXPECT_LE(static_cast<std::int64_t>(unread.size()),
+              service.stats().fsck_findings)
+        << "jobs disappeared without a scan finding";
 
     run_slice(service, 140, kScenarios, &admitted2, &ids2);
-    ids2_new = ids2.size() - seeded;
+    ids2_new = ids2.size() - parked.size();
 
     // Calm the environment and drain everything to terminal.
     iofault::disarm();
@@ -1742,38 +2210,43 @@ TEST(ServeChaosTest, SeededCampaignZeroLostZeroDuplicatedAllHonest) {
   EXPECT_GT(duplicates, 0);
   EXPECT_EQ(busy_gave_up, 0) << "honouring retry_after_ms did not converge";
 
-  // An injected unlink failure can leave a terminal job's frame on disk —
-  // the documented drift that "the recovery rescan corrects on the next
-  // start".  Hold the service to that promise: a third, calm incarnation
-  // re-admits every orphan frame, we drain them, and only then must the
-  // spool be truly clean (quarantined evidence is the one sanctioned
-  // leftover).
-  const auto job_frames = [&] {
-    std::vector<std::uint64_t> frames;
+  // No queued record survives a calm restart and drain.  Records stay
+  // queued when a job was still parked, when its terminal answer could
+  // not be persisted under the faults, or when the scan could not read
+  // them; a third, calm incarnation re-admits every one, answers every
+  // id, and drains them.  Only terminal records and quarantined evidence
+  // may remain.
+  const auto queued_records = [&] {
+    std::vector<std::uint64_t> queued;
     DIR* d = ::opendir((spool.path + "/jobs").c_str());
     EXPECT_NE(d, nullptr);
-    if (d == nullptr) return frames;
+    if (d == nullptr) return queued;
     while (dirent* e = ::readdir(d)) {
       const std::string name = e->d_name;
-      if (name.size() > 4 && name.substr(name.size() - 4) == ".job")
-        frames.push_back(std::strtoull(name.c_str(), nullptr, 10));
+      if (name.size() <= 4 || name.substr(name.size() - 4) != ".job") continue;
+      try {
+        (void)diskfmt::read_framed_file(spool.path + "/jobs/" + name,
+                                        kSpoolJobMagic, kSpoolJobVersion);
+        queued.push_back(std::strtoull(name.c_str(), nullptr, 10));
+      } catch (const Error&) {
+        // terminal (CRES) or corrupt: not owed an execution
+      }
     }
     ::closedir(d);
-    return frames;
+    return queued;
   };
-  const std::vector<std::uint64_t> orphans = job_frames();
+  const std::vector<std::uint64_t> owed = queued_records();
   {
     Service service(base);  // chaos_seed = 0: a calm environment
-    // Each leftover frame is either re-admitted (no durable answer yet) or
-    // reconciled away (its terminal result already survived on disk — re-
-    // running it would be a duplicate execution).  Nothing else.
-    EXPECT_EQ(service.recovered_jobs() +
-                  static_cast<int>(service.stats().spool_reconciled),
-              static_cast<int>(orphans.size()));
-    for (const std::uint64_t id : orphans) wait_terminal(service, id, 120000);
+    EXPECT_EQ(service.recovered_jobs(), static_cast<int>(owed.size()));
+    for (const std::uint64_t id : unread)
+      ASSERT_TRUE(service.status(id).has_value()) << "job " << id << " lost";
+    for (const std::uint64_t id : owed) wait_terminal(service, id, 120000);
+    for (const std::uint64_t id : unread) wait_terminal(service, id, 120000);
     service.stop(true);
   }
-  EXPECT_TRUE(job_frames().empty()) << "orphan frames survived a calm restart";
+  EXPECT_TRUE(queued_records().empty())
+      << "a queued record survived a calm restart and drain";
 }
 
 // --- daemon + client over the socket ---------------------------------------

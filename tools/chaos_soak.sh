@@ -137,7 +137,7 @@ done
 
 # --- restart storm: durability across repeated SIGKILL ----------------------
 # One spool, $storm_cycles kill -9/restart cycles.  The contract (DESIGN.md
-# §17.4): no job ever admitted goes missing, and any job that reached a
+# §17): no job ever admitted goes missing, and any job that reached a
 # terminal state keeps answering `crusade status <id>` / `result <id>` with
 # BIT-IDENTICAL bytes in every later incarnation — re-execution would change
 # them, so identity doubles as the zero-duplicate-execution proof.

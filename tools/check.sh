@@ -14,7 +14,8 @@
 #      JSON byte-identical, strict parse-back (0 FT-LIE, transients cross-PE)
 #   8. boot-time fsck smoke: `crusaded --fsck` over a deliberately corrupted
 #      spool — dry-run classifies without touching disk, the repair pass
-#      quarantines with evidence, and a second scrub converges clean
+#      quarantines with evidence and tombstones the record, and a second
+#      scrub converges clean
 #   9. ASan/UBSan configuration build + entire test suite
 #  10. fault-injection harness + survive campaign under ASan/UBSan (the
 #      mutated-spec and fault-replay paths are where memory bugs would hide)
@@ -27,7 +28,7 @@
 #      through a strict parser
 #  13. recovery-time bench: dirty-spool restarts across growing populations,
 #      BENCH_recovery.json parse-back asserts every boot recovered all
-#      terminal answers and parked frames (the honesty gate)
+#      terminal answers and parked jobs (the honesty gate)
 #  14. TSan configuration: serve_test (the one multi-threaded subsystem,
 #      including the seeded chaos campaign) plus a live `crusaded` daemon
 #      driven by a `crusade submit` loop — races between the supervisor,
@@ -325,24 +326,27 @@ else
 fi
 
 stage "boot-time fsck smoke (crusaded --fsck on a corrupted spool)"
-# Seed a spool with a garbage frame and temp debris, then hold --fsck to
-# its contract: dry-run classifies without mutating anything, the repair
-# pass quarantines the frame (keeping the evidence) and clears the debris,
-# and a second scrub converges — no finding ever survives two repairs.
+# Seed a spool with a garbage job record and temp debris, then hold --fsck
+# to its contract: dry-run classifies without mutating anything, the repair
+# pass keeps the record's bytes as evidence, puts a failed-honest tombstone
+# (a framed CRES record) in its place and clears the debris, and a second
+# scrub converges — no finding ever survives two repairs.
 fsck_spool="build-ci/fsck-smoke.spool"
 rm -rf "$fsck_spool"
-mkdir -p "$fsck_spool/jobs" "$fsck_spool/results"
+mkdir -p "$fsck_spool/jobs"
 printf 'this is not a framed job' > "$fsck_spool/jobs/8.job"
 printf 'torn half-write' > "$fsck_spool/jobs/.tmp.123"
 ./build-ci/tools/crusaded --fsck --dry-run --spool "$fsck_spool" \
   > build-ci/fsck-dry.json
-[[ -f "$fsck_spool/jobs/8.job" && -f "$fsck_spool/jobs/.tmp.123" ]] || {
+[[ -f "$fsck_spool/jobs/8.job" && -f "$fsck_spool/jobs/.tmp.123" &&
+   ! -e "$fsck_spool/jobs/8.job.corrupt" ]] || {
   echo "fsck --dry-run mutated the spool" >&2
   exit 1
 }
 ./build-ci/tools/crusaded --fsck --spool "$fsck_spool" \
   > build-ci/fsck-repair.json
-[[ ! -e "$fsck_spool/jobs/8.job" && ! -e "$fsck_spool/jobs/.tmp.123" ]] || {
+[[ "$(head -c 4 "$fsck_spool/jobs/8.job")" == CRES &&
+   ! -e "$fsck_spool/jobs/.tmp.123" ]] || {
   echo "fsck repair left the corruption in place" >&2
   exit 1
 }
@@ -478,7 +482,8 @@ else
 fi
 
 stage "recovery-time bench (BENCH_recovery.json parse-back)"
-(cd build-ci && CRUSADE_SCALE=0.1 ./bench/recovery_time > /dev/null)
+CRUSADE_SCALE=0.1 ./build-ci/bench/recovery_time build-ci/BENCH_recovery.json \
+  > /dev/null
 if command -v python3 >/dev/null 2>&1; then
   python3 - build-ci/BENCH_recovery.json <<'EOF'
 import json, sys

@@ -7,8 +7,9 @@
 //            [--disk-budget-mb <n>] [--chaos <seed[:rate]>] [--obs]
 //            [--fsck [--dry-run]]
 //
-// --fsck runs the boot-time spool scrub standalone (replay the journal,
-// reconcile spool/results/cache, repair or quarantine every inconsistency),
+// --fsck runs the boot-time spool scan standalone (verify every job record
+// and cache entry; quarantine + tombstone corrupt records, drop corrupt
+// cache entries and temp debris, report unreadable files and ledger drift),
 // prints the typed report as JSON, and exits without serving.  --dry-run
 // classifies only.  Exit 0 unless a repair failed.
 //
@@ -44,7 +45,15 @@ int usage() {
                "[--attempt-timeout-ms <n>] [--limit-as-mb <n>] "
                "[--limit-cpu-s <n>] [--limit-fsize-mb <n>] "
                "[--disk-budget-mb <n>] [--chaos <seed[:rate]>] [--obs] "
-               "[--fsck [--dry-run]]\n");
+               "[--fsck [--dry-run]]\n"
+               "  --fsck  scan the spool once, print the JSON report and "
+               "exit: corrupt job records\n"
+               "          are kept as .corrupt evidence and replaced by a "
+               "failed-honest tombstone,\n"
+               "          corrupt cache entries and temp debris removed, "
+               "unreadable files and\n"
+               "          ledger drift reported; --dry-run classifies "
+               "without touching disk\n");
   return 2;
 }
 
@@ -119,9 +128,9 @@ int main(int argc, char** argv) {
   if (fsck_dry_run && !fsck_only) return usage();
 
   if (fsck_only) {
-    // Standalone scrub: same code path the daemon runs before recovery,
-    // minus the recovery.  The report is the contract — machine-readable,
-    // one typed verdict per inconsistency.
+    // Standalone scrub: the same scan the daemon boots from, minus
+    // installing what it verified.  The report is the contract —
+    // machine-readable, one typed verdict per inconsistency.
     const serve::FsckReport report =
         serve::fsck_spool(cfg.service.spool_dir, /*repair=*/!fsck_dry_run);
     std::printf("%s\n", report.to_json().c_str());
