@@ -114,7 +114,6 @@ Allocator::Allocator(const FlatSpec& flat, const ResourceLibrary& lib,
       default_edge_time_(default_edge_times(flat, lib)) {
   CRUSADE_REQUIRE(!params_.use_modes || compat_ != nullptr,
                   "mode-aware allocation needs compatibility vectors");
-  sched_evals_ = params_.initial_sched_evals;
   sched_levels_ = priority_levels(flat_, default_task_time_,
                                   default_edge_time_);
   optimistic_exec_.assign(flat_.task_count(), 0);
@@ -130,9 +129,7 @@ Allocator::Allocator(const FlatSpec& flat, const ResourceLibrary& lib,
 
 bool Allocator::exclusion_clash(const Architecture& arch,
                                 const Cluster& cluster, int pe,
-                                const std::vector<int>& task_cluster,
-                                const std::vector<Cluster>& clusters) const {
-  (void)clusters;
+                                const std::vector<int>& task_cluster) const {
   for (int tid : cluster.tasks) {
     for (int other : flat_.exclusions(tid)) {
       const int oc = task_cluster[other];
@@ -269,8 +266,7 @@ bool Allocator::apply(Architecture& arch, const Cluster& cluster, int pe,
 
 std::vector<Allocator::Candidate> Allocator::enumerate(
     const Architecture& arch, const Cluster& cluster,
-    const std::vector<int>& task_cluster,
-    const std::vector<Cluster>& clusters) const {
+    const std::vector<int>& task_cluster) const {
   OBS_SPAN("alloc.enumerate");
   std::vector<Candidate> candidates;
   const double base_cost = arch.cost().total();
@@ -297,7 +293,7 @@ std::vector<Allocator::Candidate> Allocator::enumerate(
     const PeInstance& inst = arch.pes[pe];
     const PeType& type = lib_.pe(inst.type);
     if (!cluster.feasible_pe[inst.type]) continue;
-    if (exclusion_clash(arch, cluster, pe, task_cluster, clusters)) continue;
+    if (exclusion_clash(arch, cluster, pe, task_cluster)) continue;
 
     switch (type.kind) {
       case PeKind::Cpu: {
@@ -412,64 +408,63 @@ std::vector<Allocator::Candidate> Allocator::enumerate(
   return candidates;
 }
 
-ScheduleResult Allocator::evaluate(const SchedProblem& problem,
-                                   const ScheduleResult& committed) {
+ScheduleResult Allocator::evaluate(const Architecture& arch,
+                                   const AllocationOutcome& committed) {
   OBS_SPAN("alloc.eval");
-  ++sched_evals_;
+  ++stats().sched_evals;
   obs::count("alloc.sched_evals");
-  return run_list_scheduler(problem, sched_levels_, &committed);
+  return schedule_architecture(arch, committed.task_cluster,
+                               &committed.schedule);
 }
 
 AllocationOutcome Allocator::run(const std::vector<Cluster>& clusters,
                                  const Architecture* seed_arch,
-                                 const AllocResumeState* resume) {
+                                 const AllocState* resume) {
   OBS_SPAN("alloc.run");
   CRUSADE_REQUIRE(!(seed_arch && resume),
                   "seed_arch and resume are mutually exclusive");
   AllocationOutcome outcome;
   outcome.task_cluster = task_to_cluster(clusters, flat_.task_count());
+  AllocState state;
   if (resume) {
     CRUSADE_REQUIRE(resume->placed.size() == clusters.size(),
                     "checkpoint cluster count does not match specification");
-    outcome.arch = resume->arch;
-    outcome.clusters_with_misses = resume->clusters_with_misses;
+    state = *resume;
     // The schedule is a pure function of the architecture and was therefore
-    // never serialized; rebuild it (uncounted) so the search continues from
-    // exactly the state the interrupted run held after its last commit.
-    outcome.schedule =
-        schedule_architecture(outcome.arch, outcome.task_cluster);
+    // never serialized; rebuild it (outside the budget) so the search
+    // continues from exactly the state the interrupted run held after its
+    // last commit.
+    outcome.schedule = schedule_architecture(state.arch, outcome.task_cluster);
   } else if (seed_arch) {
     // Field upgrade: keep the board's devices and links, clear the
     // allocation state (sized for the NEW cluster/edge universe).
-    outcome.arch = *seed_arch;
-    outcome.arch.cluster_pe.assign(clusters.size(), -1);
-    outcome.arch.cluster_mode.assign(clusters.size(), -1);
-    outcome.arch.edge_link.assign(flat_.edge_count(), -1);
-    outcome.arch.link_total_comm.assign(outcome.arch.links.size(), 0);
-    outcome.arch.link_min_period.assign(outcome.arch.links.size(),
-                                        INT64_MAX);
-    for (PeInstance& inst : outcome.arch.pes) {
+    state.arch = *seed_arch;
+    state.arch.cluster_pe.assign(clusters.size(), -1);
+    state.arch.cluster_mode.assign(clusters.size(), -1);
+    state.arch.edge_link.assign(flat_.edge_count(), -1);
+    state.arch.link_total_comm.assign(state.arch.links.size(), 0);
+    state.arch.link_min_period.assign(state.arch.links.size(), INT64_MAX);
+    for (PeInstance& inst : state.arch.pes) {
       inst.memory_used = 0;
       inst.modes.clear();
       inst.modes.resize(1);
     }
   } else {
-    outcome.arch = Architecture(&lib_, static_cast<int>(clusters.size()),
-                                flat_.edge_count());
+    state.arch = Architecture(&lib_, static_cast<int>(clusters.size()),
+                              flat_.edge_count());
   }
+  if (!resume) state.placed.assign(clusters.size(), 0);
 
-  std::vector<char> placed = resume ? resume->placed
-                                    : std::vector<char>(clusters.size(), 0);
   std::size_t already = 0;
-  for (char p : placed)
+  for (char p : state.placed)
     if (p) ++already;
   std::vector<double> cluster_priority(clusters.size(), 0);
   PriorityLevels levels =
-      current_priority_levels(outcome.arch, flat_, lib_, outcome.task_cluster,
+      current_priority_levels(state.arch, flat_, lib_, outcome.task_cluster,
                               default_task_time_, default_edge_time_);
   auto refresh_cluster_priorities = [&]() {
     for (std::size_t c = 0; c < clusters.size(); ++c) {
-      if (placed[c]) continue;
+      if (state.placed[c]) continue;
       double p = -1e30;
       for (int tid : clusters[c].tasks) {
         p = std::max(p, levels.task[tid]);
@@ -486,30 +481,27 @@ AllocationOutcome Allocator::run(const std::vector<Cluster>& clusters,
   // Judging against the baseline rather than the previous commit's numbers
   // isolates each cluster's marginal effect from list-order churn caused by
   // priority recomputation.
-  TimeNs committed_tardiness = resume ? resume->committed_tardiness : 0;
-  TimeNs committed_estimate = resume ? resume->committed_estimate : 0;
-  int committed_failures = resume ? resume->committed_failures : 0;
-
   for (std::size_t step = already; step < clusters.size(); ++step) {
     int pick = -1;
     for (std::size_t c = 0; c < clusters.size(); ++c)
-      if (!placed[c] &&
+      if (!state.placed[c] &&
           (pick < 0 || cluster_priority[c] > cluster_priority[pick]))
         pick = static_cast<int>(c);
     CRUSADE_REQUIRE(pick >= 0, "no cluster left to place");
     const Cluster& cluster = clusters[pick];
 
     std::vector<Candidate> candidates =
-        enumerate(outcome.arch, cluster, outcome.task_cluster, clusters);
+        enumerate(state.arch, cluster, outcome.task_cluster);
     obs::count("alloc.candidates",
                static_cast<std::int64_t>(candidates.size()));
+    stats().alloc_candidates += static_cast<std::int64_t>(candidates.size());
     if (candidates.empty()) {
       CRUSADE_REQUIRE(!params_.allow_new_pes,
                       "cluster " + std::to_string(cluster.id) +
                           " has no allocation candidate");
       // Field-upgrade mode: the existing board cannot host this cluster.
-      ++outcome.clusters_with_misses;
-      placed[pick] = 1;
+      ++state.clusters_with_misses;
+      state.placed[pick] = 1;
       outcome.upgrade_rejected = true;
       continue;
     }
@@ -553,15 +545,10 @@ AllocationOutcome Allocator::run(const std::vector<Cluster>& clusters,
     }
 
     if (keep_going()) {
-      SchedProblem baseline = make_sched_problem(
-          outcome.arch, flat_, outcome.task_cluster, params_.boot_estimate,
-          params_.reboots_in_schedule);
-      baseline.task_optimistic = &optimistic_exec_;
-      const ScheduleResult base_schedule =
-          evaluate(baseline, outcome.schedule);
-      committed_tardiness = base_schedule.total_tardiness;
-      committed_estimate = base_schedule.estimated_tardiness;
-      committed_failures = base_schedule.placement_failures;
+      const ScheduleResult base_schedule = evaluate(state.arch, outcome);
+      state.committed_tardiness = base_schedule.total_tardiness;
+      state.committed_estimate = base_schedule.estimated_tardiness;
+      state.committed_failures = base_schedule.placement_failures;
     }
 
     int best = -1;
@@ -573,19 +560,14 @@ AllocationOutcome Allocator::run(const std::vector<Cluster>& clusters,
       // scheduling pass (so the returned schedule still matches the
       // returned architecture) instead of exploring the whole array.
       if (i > 0 && !keep_going()) break;
-      SchedProblem problem =
-          make_sched_problem(candidates[i].arch, flat_, outcome.task_cluster,
-                             params_.boot_estimate,
-                             params_.reboots_in_schedule);
-      problem.task_optimistic = &optimistic_exec_;
-      ScheduleResult schedule = evaluate(problem, outcome.schedule);
+      ScheduleResult schedule = evaluate(candidates[i].arch, outcome);
       const bool power_ok =
           params_.power_cap_mw <= 0 ||
           candidates[i].arch.power_mw() <= params_.power_cap_mw;
       if (power_ok &&
-          schedule.placement_failures <= committed_failures &&
-          schedule.total_tardiness <= committed_tardiness &&
-          schedule.estimated_tardiness <= committed_estimate) {
+          schedule.placement_failures <= state.committed_failures &&
+          schedule.total_tardiness <= state.committed_tardiness &&
+          schedule.estimated_tardiness <= state.committed_estimate) {
         best = static_cast<int>(i);
         best_schedule = std::move(schedule);
         accepted = true;
@@ -606,7 +588,7 @@ AllocationOutcome Allocator::run(const std::vector<Cluster>& clusters,
       }
     }
     if (!accepted) {
-      ++outcome.clusters_with_misses;
+      ++state.clusters_with_misses;
       if (std::getenv("CRUSADE_DEBUG"))
         std::fprintf(  // check-allow(C004): stderr debug aid, dead unless CRUSADE_DEBUG is set
             stderr,
@@ -617,54 +599,48 @@ AllocationOutcome Allocator::run(const std::vector<Cluster>& clusters,
             static_cast<long long>(best_schedule.total_tardiness),
             static_cast<long long>(best_schedule.estimated_tardiness),
             best_schedule.placement_failures,
-            static_cast<long long>(committed_tardiness),
-            static_cast<long long>(committed_estimate), committed_failures,
+            static_cast<long long>(state.committed_tardiness),
+            static_cast<long long>(state.committed_estimate),
+            state.committed_failures,
             candidates.size());
     }
     if (std::getenv("CRUSADE_DEBUG") && candidates[best].created_mode)
       std::fprintf(stderr, "[alloc] cluster %d -> new mode (graph %d)\n",  // check-allow(C004): stderr debug aid, dead unless CRUSADE_DEBUG is set
                    cluster.id, cluster.graph);
-    outcome.arch = std::move(candidates[best].arch);
+    state.arch = std::move(candidates[best].arch);
     outcome.schedule = std::move(best_schedule);
-    placed[pick] = 1;
+    state.placed[pick] = 1;
 
     // Priorities shift once actual execution/communication times are known
     // (§5: recomputed after each allocation).
-    levels = current_priority_levels(outcome.arch, flat_, lib_,
+    levels = current_priority_levels(state.arch, flat_, lib_,
                                      outcome.task_cluster, default_task_time_,
                                      default_edge_time_);
     refresh_cluster_priorities();
 
-    if (params_.progress_hook) {
-      AllocProgress progress;
-      progress.arch = &outcome.arch;
-      progress.placed = &placed;
-      progress.sched_evals = sched_evals_;
-      progress.clusters_with_misses = outcome.clusters_with_misses;
-      progress.committed_tardiness = committed_tardiness;
-      progress.committed_estimate = committed_estimate;
-      progress.committed_failures = committed_failures;
-      progress.stopped = stopped_;
-      params_.progress_hook(progress);
-    }
+    if (params_.progress_hook) params_.progress_hook(state);
   }
 
+  outcome.arch = std::move(state.arch);
+  outcome.clusters_with_misses = state.clusters_with_misses;
   repair(outcome, clusters);
 
   outcome.feasible = outcome.schedule.feasible;
-  outcome.sched_evaluations = sched_evals_;
   outcome.budget_exhausted = budget_exhausted_;
   outcome.stopped = stopped_;
   return outcome;
 }
 
 ScheduleResult Allocator::schedule_architecture(
-    const Architecture& arch, const std::vector<int>& task_cluster) const {
+    const Architecture& arch, const std::vector<int>& task_cluster,
+    const ScheduleResult* base) {
   SchedProblem problem =
       make_sched_problem(arch, flat_, task_cluster, params_.boot_estimate,
                          params_.reboots_in_schedule);
   problem.task_optimistic = &optimistic_exec_;
-  return run_list_scheduler(problem, sched_levels_);
+  ++stats().sched_invocations;
+  ++stats().finish_estimates;
+  return run_list_scheduler(problem, sched_levels_, base);
 }
 
 int Allocator::evacuate_devices(AllocationOutcome& outcome,
@@ -697,7 +673,7 @@ int Allocator::evacuate_devices(AllocationOutcome& outcome,
       bool all_placed = true;
       for (int c : residents) {
         std::vector<Candidate> candidates =
-            enumerate(trial, clusters[c], outcome.task_cluster, clusters);
+            enumerate(trial, clusters[c], outcome.task_cluster);
         // Forbid returning to the victim or opening a fresh device: the
         // point is to live inside the remaining architecture.  Pick the
         // cheapest eligible placement.
@@ -718,12 +694,7 @@ int Allocator::evacuate_devices(AllocationOutcome& outcome,
       if (!all_placed) continue;
       if (trial.cost().total() >= outcome.arch.cost().total()) continue;
 
-      SchedProblem problem =
-          make_sched_problem(trial, flat_, outcome.task_cluster,
-                             params_.boot_estimate,
-                             params_.reboots_in_schedule);
-      problem.task_optimistic = &optimistic_exec_;
-      ScheduleResult schedule = evaluate(problem, outcome.schedule);
+      ScheduleResult schedule = evaluate(trial, outcome);
       const bool acceptable =
           schedule.placement_failures <=
               outcome.schedule.placement_failures &&
@@ -737,7 +708,6 @@ int Allocator::evacuate_devices(AllocationOutcome& outcome,
     if (!improved) break;
   }
   relax_fpga_purity_ = false;
-  outcome.sched_evaluations = sched_evals_;
   outcome.budget_exhausted = budget_exhausted_;
   outcome.stopped = stopped_;
   return emptied;
@@ -816,11 +786,7 @@ void Allocator::repair(AllocationOutcome& outcome,
     }
     if (rewired_count == 0) break;
     if (!keep_going()) break;
-    SchedProblem problem = make_sched_problem(
-        trial, flat_, outcome.task_cluster, params_.boot_estimate,
-        params_.reboots_in_schedule);
-    problem.task_optimistic = &optimistic_exec_;
-    ScheduleResult schedule = evaluate(problem, outcome.schedule);
+    ScheduleResult schedule = evaluate(trial, outcome);
     if (std::getenv("CRUSADE_DEBUG"))
       std::fprintf(stderr, "[rewire] batch of %d: fail %d->%d\n",  // check-allow(C004): stderr debug aid, dead unless CRUSADE_DEBUG is set
                    rewired_count, outcome.schedule.placement_failures,
@@ -881,24 +847,18 @@ void Allocator::repair(AllocationOutcome& outcome,
     for (const auto& [badness, cid] : offenders) {
       (void)badness;
       const Cluster& cluster = clusters[cid];
-      const int old_pe = outcome.arch.cluster_pe[cid];
-      const int old_mode = outcome.arch.cluster_mode[cid];
-      if (old_pe < 0) continue;  // displaced by an earlier move this pass
+      // Displaced by an earlier move this pass.
+      if (outcome.arch.cluster_pe[cid] < 0) continue;
       Architecture stripped = outcome.arch;
       unplace(stripped, cluster, clusters);
 
       std::vector<Candidate> candidates =
-          enumerate(stripped, cluster, outcome.task_cluster, clusters);
+          enumerate(stripped, cluster, outcome.task_cluster);
       int best = -1;
       ScheduleResult best_schedule;
       for (std::size_t i = 0; i < candidates.size(); ++i) {
         if (!keep_going()) break;
-        SchedProblem problem =
-            make_sched_problem(candidates[i].arch, flat_,
-                               outcome.task_cluster, params_.boot_estimate,
-                               params_.reboots_in_schedule);
-        problem.task_optimistic = &optimistic_exec_;
-        ScheduleResult schedule = evaluate(problem, outcome.schedule);
+        ScheduleResult schedule = evaluate(candidates[i].arch, outcome);
         const bool better =
             best < 0 ||
             schedule.placement_failures <
@@ -927,17 +887,14 @@ void Allocator::repair(AllocationOutcome& outcome,
       if (strictly_better) {
         outcome.arch = std::move(candidates[best].arch);
         outcome.schedule = std::move(best_schedule);
-        ++outcome.repair_moves;
+        ++stats().repair_moves;
         improved = true;
         if (outcome.schedule.feasible) break;
       }
-      (void)old_pe;
-      (void)old_mode;
     }
     if (!improved) break;
   }
   relax_fpga_purity_ = false;
-  outcome.sched_evaluations = sched_evals_;
   outcome.budget_exhausted = budget_exhausted_;
   outcome.stopped = stopped_;
 }

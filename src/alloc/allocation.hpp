@@ -16,46 +16,30 @@
 #include "alloc/architecture.hpp"
 #include "alloc/cluster.hpp"
 #include "graph/specification.hpp"
+#include "obs/runstats.hpp"
 #include "sched/scheduler.hpp"
 #include "util/run_control.hpp"
 
 namespace crusade {
 
-/// Snapshot handed to the progress hook after every committed whole-cluster
-/// placement in Allocator::run.  `committed_*` carry the acceptance bar (the
-/// last baseline schedule's numbers) — after budget exhaustion the baseline
-/// is no longer recomputed, so a resume point must restore the stale bar
-/// exactly or the dirty-commit count of a resumed run could drift.
-/// `stopped` is true once the anytime control has truncated the search —
-/// such wrap-up states are NOT on the uninterrupted search trajectory and
-/// must never be checkpointed (budget-exhausted states, by contrast, are
-/// deterministic and remain valid resume points).
-struct AllocProgress {
-  const Architecture* arch = nullptr;
-  const std::vector<char>* placed = nullptr;
-  int sched_evals = 0;
-  int clusters_with_misses = 0;
-  TimeNs committed_tardiness = 0;
-  TimeNs committed_estimate = 0;
-  int committed_failures = 0;
-  bool stopped = false;
-};
-
-using AllocProgressHook = std::function<void(const AllocProgress&)>;
-
-/// State restored from a checkpoint to continue a run mid-allocation: the
-/// committed architecture, which clusters it already places, and the
-/// acceptance bar at the checkpoint state.  The evaluation tally is seeded
-/// separately (AllocParams::initial_sched_evals) because it also applies to
-/// post-allocation resumes.
-struct AllocResumeState {
+/// The allocation search's state between two whole-cluster commits, which
+/// is all a checkpoint needs to continue the search: the committed
+/// architecture, which clusters it already places, and the acceptance bar
+/// (`committed_*`, the last baseline schedule's numbers).  After budget
+/// exhaustion the baseline is no longer recomputed, so a resume point must
+/// restore the stale bar exactly or the dirty-commit count of a resumed run
+/// could drift.  Allocator::run keeps one live and hands it to the progress
+/// hook after every commit; a checkpoint embeds a copy.
+struct AllocState {
   Architecture arch;
-  std::vector<char> placed;
+  std::vector<char> placed;  ///< per cluster: committed yet
   int clusters_with_misses = 0;
   TimeNs committed_tardiness = 0;
   TimeNs committed_estimate = 0;
   int committed_failures = 0;
 };
+
+using AllocProgressHook = std::function<void(const AllocState&)>;
 
 /// Estimate of a programmable device's reconfiguration time given the logic
 /// it must load; provided by interface synthesis (§4.4).  Null = boot-free.
@@ -81,8 +65,8 @@ struct AllocParams {
   /// instances, so allocation must fit the workload onto an existing
   /// architecture by reprogramming alone.  Used by try_field_upgrade().
   bool allow_new_pes = true;
-  /// Graceful-degradation budget: maximum schedule evaluations across one
-  /// Allocator's lifetime (run + repair + evacuation); 0 = unlimited.  On
+  /// Graceful-degradation budget: maximum schedule evaluations in the
+  /// `stats` tally (run + repair + evacuation); 0 = unlimited.  On
   /// exhaustion the search stops refining, every remaining cluster takes its
   /// cheapest candidate, and the best-so-far architecture is returned with
   /// AllocationOutcome::budget_exhausted set — callers diagnose the result
@@ -102,10 +86,18 @@ struct AllocParams {
   /// candidate after one scheduling pass — and AllocationOutcome::stopped
   /// is set.
   const RunController* control = nullptr;
-  /// Seeds the allocator-lifetime evaluation tally (checkpoint resume), so
-  /// max_iterations budgets and RunStats continue where the previous
-  /// incarnation of the run left off instead of restarting from zero.
-  int initial_sched_evals = 0;
+  /// The run's statistics sink: the allocator counts its schedule
+  /// evaluations, repair moves, allocation candidates, scheduler calls and
+  /// finish-time estimations into it, and max_iterations budgets its
+  /// sched_evals, so a checkpoint resume that hands in the pre-crash stats
+  /// continues the budget instead of restarting it.  Null keeps a private
+  /// tally.
+  RunStats* stats = nullptr;
+  /// Called after every committed whole-cluster placement in run(),
+  /// including the wrap-up commits made once `control` has fired (its
+  /// triggered() is then true): those states are off the uninterrupted
+  /// search trajectory and must never be checkpointed.  Budget-exhausted
+  /// states, by contrast, are deterministic and remain valid resume points.
   AllocProgressHook progress_hook;
 };
 
@@ -114,11 +106,9 @@ struct AllocationOutcome {
   ScheduleResult schedule;        ///< final schedule of the architecture
   std::vector<int> task_cluster;  ///< flat task id -> cluster id
   int clusters_with_misses = 0;   ///< clusters committed despite tardiness
-  int repair_moves = 0;           ///< relocations made by the repair pass
   /// Field-upgrade mode only: some cluster found no home on the board.
   bool upgrade_rejected = false;
   bool feasible = false;          ///< all deadlines met in the final schedule
-  int sched_evaluations = 0;      ///< schedule evaluations spent so far
   /// AllocParams::max_iterations ran out before the search converged; the
   /// result is the best architecture found, not a completed exploration.
   bool budget_exhausted = false;
@@ -177,16 +167,18 @@ class Allocator {
   /// have.
   AllocationOutcome run(const std::vector<Cluster>& clusters,
                         const Architecture* seed_arch = nullptr,
-                        const AllocResumeState* resume = nullptr);
+                        const AllocState* resume = nullptr);
 
-  /// Re-derives the schedule of an architecture exactly as evaluate()
-  /// would — same problem construction, same optimistic estimates, same
-  /// canonical priority levels — WITHOUT counting against the evaluation
-  /// budget.  Checkpoint resume uses it to rebuild the schedule that was
-  /// deliberately not serialized (it is a pure function of the
+  /// Schedules an architecture the way every allocator call does — same
+  /// problem construction, optimistic estimates and canonical priority
+  /// levels — resuming from `base`'s common prefix when given.  Counts the
+  /// scheduler call and its finish-time estimation but not against the
+  /// evaluation budget.  Checkpoint resume uses it to rebuild the schedule
+  /// that was deliberately not serialized (it is a pure function of the
   /// architecture).
-  ScheduleResult schedule_architecture(
-      const Architecture& arch, const std::vector<int>& task_cluster) const;
+  ScheduleResult schedule_architecture(const Architecture& arch,
+                                       const std::vector<int>& task_cluster,
+                                       const ScheduleResult* base = nullptr);
 
   /// Post-allocation repair: relocate clusters owning failing/tardy tasks
   /// while the schedule improves.  Also used by the driver after merge and
@@ -231,25 +223,24 @@ class Allocator {
 
   std::vector<Candidate> enumerate(const Architecture& arch,
                                    const Cluster& cluster,
-                                   const std::vector<int>& task_cluster,
-                                   const std::vector<Cluster>& clusters) const;
+                                   const std::vector<int>& task_cluster) const;
   /// Applies placement + link wiring on a copy; returns false if wiring is
   /// impossible (link library exhausted for the topology).
   bool apply(Architecture& arch, const Cluster& cluster, int pe, int mode,
              const std::vector<int>& task_cluster) const;
   bool exclusion_clash(const Architecture& arch, const Cluster& cluster,
-                       int pe, const std::vector<int>& task_cluster,
-                       const std::vector<Cluster>& clusters) const;
+                       int pe, const std::vector<int>& task_cluster) const;
   /// Reverses a placement (capacity bookkeeping + boundary edge links).
   void unplace(Architecture& arch, const Cluster& cluster,
                const std::vector<Cluster>& clusters) const;
 
   /// Budget-counted scheduling: every schedule evaluation in allocation,
-  /// repair and evacuation funnels through here, resuming from the
-  /// committed schedule's common prefix with the problem (a default-
-  /// constructed schedule before the first commit means from scratch).
-  ScheduleResult evaluate(const SchedProblem& problem,
-                          const ScheduleResult& committed);
+  /// repair and evacuation funnels through here, scheduling `arch` from
+  /// the common prefix of `committed`'s schedule (a default-constructed
+  /// schedule before the first commit means from scratch).
+  ScheduleResult evaluate(const Architecture& arch,
+                          const AllocationOutcome& committed);
+  RunStats& stats() { return params_.stats ? *params_.stats : own_stats_; }
   /// One gate for both truncation causes, polled wherever the search can
   /// stop refining: the evaluation budget (deterministic — a resumed run
   /// hits it at the same evaluation) and the anytime stop/deadline control
@@ -259,7 +250,8 @@ class Allocator {
       stopped_ = true;
       return false;
     }
-    if (params_.max_iterations > 0 && sched_evals_ >= params_.max_iterations) {
+    if (params_.max_iterations > 0 &&
+        stats().sched_evals >= params_.max_iterations) {
       budget_exhausted_ = true;
       return false;
     }
@@ -283,7 +275,7 @@ class Allocator {
   /// during allocation; post-allocation moves (repair, evacuation) may pack
   /// freely — contamination can no longer block a future mode.
   bool relax_fpga_purity_ = false;
-  int sched_evals_ = 0;
+  RunStats own_stats_;  ///< the tally when AllocParams::stats is null
   bool budget_exhausted_ = false;
   bool stopped_ = false;
 };

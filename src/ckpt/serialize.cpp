@@ -2,7 +2,6 @@
 
 #include <bit>
 
-#include "util/disk_format.hpp"
 #include "util/error.hpp"
 
 namespace crusade::ckpt {
@@ -121,12 +120,6 @@ std::vector<char> BinReader::vec_u8() {
 }
 
 // --- hashes ---------------------------------------------------------------
-
-std::uint32_t crc32(const std::string& bytes) {
-  // One CRC implementation for the whole tree: the framed-header helper
-  // owns it (util/disk_format.hpp), checkpoints delegate.
-  return diskfmt::crc32(bytes);
-}
 
 std::uint64_t fnv1a(const std::string& bytes) {
   std::uint64_t h = 0xcbf29ce484222325ull;

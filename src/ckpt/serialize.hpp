@@ -63,9 +63,6 @@ class BinReader {
   std::size_t pos_ = 0;
 };
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) over a byte string.
-std::uint32_t crc32(const std::string& bytes);
-
 /// FNV-1a 64-bit hash — fingerprints the specification text and the
 /// synthesis parameters a checkpoint was taken under.
 std::uint64_t fnv1a(const std::string& bytes);

@@ -42,14 +42,6 @@ class PhaseClock {
   std::chrono::steady_clock::time_point start_, last_;
 };
 
-/// Values of the tracing-gated counters at run entry, so RunStats reports
-/// this run's deltas even when several runs share one obs session.
-struct CounterBase {
-  std::int64_t invocations = obs::counter_value("sched.invocations");
-  std::int64_t estimates = obs::counter_value("sched.finish_estimates");
-  std::int64_t candidates = obs::counter_value("alloc.candidates");
-};
-
 }  // namespace
 
 Crusade::Crusade(const Specification& spec, const ResourceLibrary& lib,
@@ -95,7 +87,6 @@ std::uint64_t Crusade::fingerprint(const Specification& spec,
 CrusadeResult Crusade::run() {
   OBS_SPAN("crusade.run");
   PhaseClock clock;
-  const CounterBase base;
   CrusadeResult result;
 
   const ckpt::Checkpoint* resume = params_.resume;
@@ -113,32 +104,14 @@ CrusadeResult Crusade::run() {
     result.resumed = true;
   }
 
-  // Tracing-gated counter deltas plus the run's total wall time; called on
-  // every exit path so RunStats is always complete.
-  auto finalize_stats = [&]() {
-    result.stats.sched_invocations +=
-        obs::counter_value("sched.invocations") - base.invocations;
-    result.stats.finish_estimates +=
-        obs::counter_value("sched.finish_estimates") - base.estimates;
-    result.stats.alloc_candidates +=
-        obs::counter_value("alloc.candidates") - base.candidates;
-    result.stats.total_seconds += clock.total();
-  };
-
-  // Stats image for a checkpoint taken mid-phase: the accumulated laps plus
-  // the in-flight phase's partial time and the counter deltas so far.  A run
-  // resumed from the checkpoint keeps accumulating on top — the time spent
-  // between the checkpoint and the crash is honestly lost.
+  // Stats image for a checkpoint taken mid-phase: the run's tallies plus the
+  // in-flight phase's partial time.  A run resumed from the checkpoint keeps
+  // accumulating on top — the time spent between the checkpoint and the
+  // crash is honestly lost.
   auto snapshot_stats = [&](double RunStats::*phase) {
     RunStats s = result.stats;
     s.*phase += clock.since_lap();
     s.total_seconds += clock.total();
-    s.sched_invocations +=
-        obs::counter_value("sched.invocations") - base.invocations;
-    s.finish_estimates +=
-        obs::counter_value("sched.finish_estimates") - base.estimates;
-    s.alloc_candidates +=
-        obs::counter_value("alloc.candidates") - base.candidates;
     return s;
   };
 
@@ -160,6 +133,21 @@ CrusadeResult Crusade::run() {
     }
     if (params_.checkpoint.on_write) params_.checkpoint.on_write(c);
   };
+  // A checkpoint past allocation: every cluster placed, the merge loop's
+  // progress in `report`.
+  auto write_phase_checkpoint = [&](ckpt::Stage stage,
+                                    double RunStats::*phase,
+                                    const MergeReport& report) {
+    ckpt::Checkpoint c;
+    c.stage = stage;
+    c.spec_hash = spec_hash;
+    c.alloc.arch = result.arch;
+    c.alloc.placed.assign(result.clusters.size(), 1);
+    c.alloc.clusters_with_misses = result.clusters_with_misses;
+    c.merge_report = report;
+    c.stats = snapshot_stats(phase);
+    write_checkpoint(c);
+  };
 
   // --- preflight: static analysis before any search (src/analyze) ---
   if (params_.preflight) {
@@ -175,7 +163,7 @@ CrusadeResult Crusade::run() {
           result.diagnosis.preflight_errors.push_back(
               "[" + d.id + "] " + d.message);
       result.feasible = false;
-      finalize_stats();
+      result.stats.total_seconds += clock.total();
       result.diagnosis.stats = result.stats;
       return result;
     }
@@ -212,31 +200,26 @@ CrusadeResult Crusade::run() {
   // schedule (see make_sched_problem).
   alloc_params.reboots_in_schedule = !modes_in_allocation;
   alloc_params.control = params_.control;
-  if (resume)
-    alloc_params.initial_sched_evals = static_cast<int>(resume->sched_evals);
+  // The run's RunStats is the allocator's tally: a resume seeded it with the
+  // pre-crash counts above, so the evaluation budget continues too.
+  alloc_params.stats = &result.stats;
 
-  std::int64_t last_ckpt_evals = resume ? resume->sched_evals : 0;
+  std::int64_t last_ckpt_evals = result.stats.sched_evals;
   if (checkpointing) {
-    alloc_params.progress_hook = [&](const AllocProgress& p) {
+    alloc_params.progress_hook = [&](const AllocState& state) {
       // Wrap-up commits after the anytime control fired are off the
       // uninterrupted trajectory — never persist them; the last checkpoint
       // on disk stays a state the full search really passes through.
-      if (p.stopped) return;
-      if (p.sched_evals - last_ckpt_evals < params_.checkpoint.every_evals)
+      if (params_.control && params_.control->triggered()) return;
+      if (result.stats.sched_evals - last_ckpt_evals <
+          params_.checkpoint.every_evals)
         return;
-      last_ckpt_evals = p.sched_evals;
+      last_ckpt_evals = result.stats.sched_evals;
       ckpt::Checkpoint c;
       c.stage = ckpt::Stage::Allocation;
       c.spec_hash = spec_hash;
-      c.arch = *p.arch;
-      c.placed = *p.placed;
-      c.sched_evals = p.sched_evals;
-      c.clusters_with_misses = p.clusters_with_misses;
-      c.committed_tardiness = p.committed_tardiness;
-      c.committed_estimate = p.committed_estimate;
-      c.committed_failures = p.committed_failures;
+      c.alloc = state;
       c.stats = snapshot_stats(&RunStats::allocation_seconds);
-      c.stats.sched_evals = p.sched_evals;
       write_checkpoint(c);
     };
   }
@@ -247,34 +230,20 @@ CrusadeResult Crusade::run() {
   // A checkpoint taken past allocation resumes AFTER repair + evacuation:
   // re-running them on the already-evacuated architecture would leave the
   // uninterrupted trajectory.  The schedule was never serialized (it is a
-  // pure function of the architecture) — recompute it, uncounted.
+  // pure function of the architecture) — recompute it outside the budget.
   const bool resume_past_alloc =
       resume && resume->stage != ckpt::Stage::Allocation;
   AllocationOutcome outcome;
   {
     OBS_SPAN("phase.allocation");
     if (resume_past_alloc) {
-      outcome.task_cluster = result.task_cluster;
-      outcome.arch = resume->arch;
-      outcome.clusters_with_misses = resume->clusters_with_misses;
-      outcome.sched_evaluations = static_cast<int>(resume->sched_evals);
-      outcome.repair_moves = static_cast<int>(resume->stats.repair_moves);
+      outcome.arch = resume->alloc.arch;
+      outcome.clusters_with_misses = resume->alloc.clusters_with_misses;
       outcome.schedule =
           allocator.schedule_architecture(outcome.arch, result.task_cluster);
-      outcome.feasible = outcome.schedule.feasible;
     } else {
-      AllocResumeState alloc_resume;
-      const AllocResumeState* resume_ptr = nullptr;
-      if (resume) {
-        alloc_resume.arch = resume->arch;
-        alloc_resume.placed = resume->placed;
-        alloc_resume.clusters_with_misses = resume->clusters_with_misses;
-        alloc_resume.committed_tardiness = resume->committed_tardiness;
-        alloc_resume.committed_estimate = resume->committed_estimate;
-        alloc_resume.committed_failures = resume->committed_failures;
-        resume_ptr = &alloc_resume;
-      }
-      outcome = allocator.run(result.clusters, nullptr, resume_ptr);
+      outcome = allocator.run(result.clusters, nullptr,
+                              resume ? &resume->alloc : nullptr);
       // Constructive greediness leaves under-filled devices behind;
       // evacuation consolidates them (run for both variants, keeping the
       // comparison fair).
@@ -290,19 +259,9 @@ CrusadeResult Crusade::run() {
   // Written unconditionally — it is one file write — unless the search was
   // truncated (off-trajectory) or we resumed past this very boundary.
   if (checkpointing && !outcome.stopped && !resume_past_alloc &&
-      !(params_.control && params_.control->triggered())) {
-    ckpt::Checkpoint c;
-    c.stage = ckpt::Stage::Merge;
-    c.spec_hash = spec_hash;
-    c.arch = result.arch;
-    c.placed.assign(result.clusters.size(), 1);
-    c.sched_evals = outcome.sched_evaluations;
-    c.clusters_with_misses = outcome.clusters_with_misses;
-    c.stats = snapshot_stats(&RunStats::allocation_seconds);
-    c.stats.sched_evals = outcome.sched_evaluations;
-    c.stats.repair_moves = outcome.repair_moves;
-    write_checkpoint(c);
-  }
+      !(params_.control && params_.control->triggered()))
+    write_phase_checkpoint(ckpt::Stage::Merge, &RunStats::allocation_seconds,
+                           MergeReport{});
 
   // --- dynamic reconfiguration generation (§4.1–4.4, Figure 3) ---
   if (params_.enable_reconfig) {
@@ -319,11 +278,8 @@ CrusadeResult Crusade::run() {
     merge_params.reboots_in_schedule = alloc_params.reboots_in_schedule;
     merge_params.control = params_.control;
 
-    MergeReport resume_report;
-    if (resume && resume->stage == ckpt::Stage::Merge) {
-      resume_report = resume->merge_report;
-      merge_params.resume_from = &resume_report;
-    }
+    if (resume && resume->stage == ckpt::Stage::Merge)
+      merge_params.resume_from = &resume->merge_report;
     if (checkpointing) {
       merge_params.pass_hook = [&](const MergeReport& rep, bool finished) {
         // Same rule as allocation: a stop-truncated state is not on the
@@ -331,19 +287,10 @@ CrusadeResult Crusade::run() {
         if (rep.stopped ||
             (params_.control && params_.control->triggered()))
           return;
-        ckpt::Checkpoint c;
-        c.stage =
-            finished ? ckpt::Stage::MergeDone : ckpt::Stage::Merge;
-        c.spec_hash = spec_hash;
-        c.arch = result.arch;  // merge_modes mutates it in place
-        c.placed.assign(result.clusters.size(), 1);
-        c.sched_evals = outcome.sched_evaluations;
-        c.clusters_with_misses = outcome.clusters_with_misses;
-        c.merge_report = rep;
-        c.stats = snapshot_stats(&RunStats::reconfig_seconds);
-        c.stats.sched_evals = outcome.sched_evaluations;
-        c.stats.repair_moves = outcome.repair_moves;
-        write_checkpoint(c);
+        // merge_modes mutates result.arch in place.
+        write_phase_checkpoint(
+            finished ? ckpt::Stage::MergeDone : ckpt::Stage::Merge,
+            &RunStats::reconfig_seconds, rep);
       };
     }
 
@@ -369,6 +316,10 @@ CrusadeResult Crusade::run() {
   result.stats.merges_rejected_validator =
       result.merge_report.rejected_validator;
   result.stats.merge_reschedules = result.merge_report.reschedules;
+  // Each merge reschedule is one list-scheduler call.  Merge-stage
+  // checkpoints leave them out of `stats`, so a resumed run adds the
+  // restored report's whole count here once.
+  result.stats.sched_invocations += result.merge_report.reschedules;
   result.stats.mode_consolidations = result.merge_report.consolidations;
 
   // --- reconfiguration controller interface synthesis (§4.4) ---
@@ -397,6 +348,7 @@ CrusadeResult Crusade::run() {
     };
     const PriorityLevels sched_levels = scheduling_levels(flat, lib_);
     auto schedule_of = [&](const Architecture& a) {
+      ++result.stats.sched_invocations;
       SchedProblem problem =
           make_sched_problem(a, flat, result.task_cluster,
                              /*boot_estimate=*/{},
@@ -479,14 +431,8 @@ CrusadeResult Crusade::run() {
     result.schedule = std::move(touchup.schedule);
     outcome.budget_exhausted |= touchup.budget_exhausted;
     outcome.stopped |= touchup.stopped;
-    // repair() refreshes the allocator-lifetime evaluation tally on the
-    // outcome it was handed; fold it back so stats see the final count.
-    outcome.sched_evaluations = touchup.sched_evaluations;
-    outcome.repair_moves += touchup.repair_moves;
   }
   result.stats.repair_seconds += clock.lap();
-  result.stats.sched_evals = outcome.sched_evaluations;
-  result.stats.repair_moves = outcome.repair_moves;
 
   // "Stopped" means the search itself was truncated; a control that fires
   // during the cheap tail phases (interface, validation) truncated nothing
@@ -536,7 +482,7 @@ CrusadeResult Crusade::run() {
   }
   result.stats.diagnosis_seconds += clock.lap();
 
-  finalize_stats();
+  result.stats.total_seconds += clock.total();
   // The diagnosis carries the run's stats so "budget exhausted" verdicts can
   // say how the budget was spent (schedule evaluations, merge reschedules).
   if (!result.diagnosis.empty()) result.diagnosis.stats = result.stats;

@@ -102,11 +102,11 @@ struct CrusadeResult {
   int mode_count = 0;
   int clusters_with_misses = 0;
   double power_mw = 0;  ///< typical draw of the final architecture
-  /// Per-phase wall time and search-effort counters (obs/runstats.hpp).
+  /// Per-phase wall time and search-effort counters (obs/runstats.hpp),
+  /// counted by this run alone whether or not tracing is on.
   /// stats.total_seconds is the whole run's wall time; stats.sched_evals is
   /// the allocator's schedule-evaluation tally (the budget
-  /// AllocParams::max_iterations caps).  Counter fields marked "0 unless
-  /// tracing" fill in when obs::set_enabled(true) precedes the run.
+  /// AllocParams::max_iterations caps).
   RunStats stats;
   /// Independent re-verification of the result (CrusadeParams::self_check).
   /// When the validator finds a schedule-level violation in a result the

@@ -1,11 +1,45 @@
 #include "core/report.hpp"
 
+#include <cstdio>
 #include <map>
 #include <sstream>
 
+#include "ckpt/serialize.hpp"
 #include "util/table.hpp"
 
 namespace crusade {
+
+namespace {
+
+std::string hex64(std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+}  // namespace
+
+std::string arch_fingerprint(const Architecture& arch) {
+  ckpt::BinWriter w;
+  ckpt::write_architecture(w, arch);
+  return hex64(ckpt::fnv1a(w.bytes()));
+}
+
+std::string result_signature(const CrusadeResult& result) {
+  ckpt::BinWriter w;
+  ckpt::write_architecture(w, result.arch);
+  w.u8(result.feasible ? 1 : 0);
+  w.f64(result.cost.total());
+  w.i64(result.stats.sched_evals);
+  w.i64(result.stats.repair_moves);
+  w.i64(result.stats.merges_tried);
+  w.i64(result.stats.merges_accepted);
+  w.i64(result.stats.merge_reschedules);
+  w.i64(result.stats.mode_consolidations);
+  w.u8(result.validation.clean() ? 1 : 0);
+  return hex64(ckpt::fnv1a(w.bytes()));
+}
 
 std::string describe_result(const CrusadeResult& result) {
   std::ostringstream out;

@@ -15,6 +15,17 @@ std::string describe_result(const CrusadeResult& result);
 /// One-line verdict for logs/tests.
 std::string one_line_verdict(const CrusadeResult& result);
 
+/// FNV-1a of the architecture's canonical serialization as 16 hex digits:
+/// equal iff the serialized bytes are identical.
+std::string arch_fingerprint(const Architecture& arch);
+
+/// Deterministic fingerprint (16 hex digits) of everything a run's outcome
+/// promises: architecture bytes, feasibility, cost, the deterministic
+/// search counters and the validator's verdict.  Two runs of the same
+/// search, interrupted and resumed or not, served from a cache or not,
+/// produce equal signatures (`crusade soak`, the serve tests).
+std::string result_signature(const CrusadeResult& result);
+
 /// Textual Gantt-style dump of the frame schedule: one section per live
 /// resource listing its periodic busy windows ([start, finish) @ period and
 /// the owning task/edge/reboot), capped at `max_rows` windows total.

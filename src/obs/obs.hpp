@@ -54,8 +54,8 @@ void count(const char* name, std::int64_t delta = 1);
 
 /// Raises the named counter to `value` if it is currently lower (no-op
 /// while disabled).  The high-watermark companion to count() for gauges
-/// that are sampled rather than accumulated — e.g. serve.queue_depth_peak,
-/// where the interesting number is the worst depth ever seen, not a sum.
+/// that are sampled rather than accumulated — e.g. a queue depth, where
+/// the interesting number is the worst depth ever seen, not a sum.
 void record_peak(const char* name, std::int64_t value);
 
 /// Current value of a counter (0 if never incremented).

@@ -7,9 +7,11 @@
 // candidates).  It is embedded in CrusadeResult, echoed into
 // InfeasibilityDiagnosis (so a "budget exhausted" verdict can say how the
 // budget was spent), and serialized into BENCH_* JSON by the bench
-// harnesses.  Phase times are measured unconditionally — a handful of clock
-// reads per run; the obs counter registry is only consulted when tracing is
-// enabled.
+// harnesses.  Every field is this run's own tally, identical with tracing
+// on or off and exact when several runs share a process: phase times are a
+// handful of clock reads per run, and the pipeline counts into the run's
+// RunStats directly (the allocator through AllocParams::stats), never
+// through the process-global obs registry.
 #pragma once
 
 #include <cstdint>
@@ -39,11 +41,10 @@ struct RunStats {
   std::int64_t sched_evals = 0;        ///< allocator schedule evaluations
                                        ///< (run + repair + evacuation)
   std::int64_t sched_invocations = 0;  ///< every list-scheduler call,
-                                       ///< all phases (0 unless tracing)
+                                       ///< all phases
   std::int64_t finish_estimates = 0;   ///< finish-time estimation passes
-                                       ///< (0 unless tracing)
   std::int64_t alloc_candidates = 0;   ///< allocation-array entries
-                                       ///< enumerated (0 unless tracing)
+                                       ///< enumerated
   std::int64_t clusters = 0;
   std::int64_t repair_moves = 0;
   std::int64_t merges_tried = 0;

@@ -341,7 +341,6 @@ std::uint64_t Service::compute_idem_key(const SubmitRequest& req,
 }
 
 SubmitOutcome Service::submit(const SubmitRequest& request) {
-  obs::count("serve.submitted");
   SubmitOutcome out;
 
   // Parse + fingerprint outside the lock: spec parsing is the expensive
@@ -350,7 +349,6 @@ SubmitOutcome Service::submit(const SubmitRequest& request) {
   try {
     key = compute_cache_key(request);
   } catch (const Error& e) {
-    obs::count("serve.rejected_bad");
     util::MutexLock lk(mu_);
     ++stats_.submitted;
     ++stats_.rejected_bad;
@@ -365,7 +363,6 @@ SubmitOutcome Service::submit(const SubmitRequest& request) {
     util::MutexLock lk(mu_);
     ++stats_.submitted;
     if (stopping_) {
-      obs::count("serve.rejected_shutdown");
       out.shutting_down = true;
       return out;
     }
@@ -377,7 +374,6 @@ SubmitOutcome Service::submit(const SubmitRequest& request) {
       if (dup != idem_to_job_.end()) {
         if (jobs_.count(dup->second) != 0) {
           ++stats_.duplicates_attached;
-          obs::count("serve.duplicates_attached");
           out.admitted = true;
           out.duplicate = true;
           out.id = dup->second;
@@ -418,7 +414,6 @@ SubmitOutcome Service::submit(const SubmitRequest& request) {
         std::vector<std::pair<std::uint64_t, int>> evicted;
         note_terminal_locked(id, &evicted);
         lk.unlock();
-        obs::count("serve.cache_hits");
         // A cache hit is a real end-to-end completion — near-zero latency,
         // but it belongs in the distribution the bench compares against.
         e2e_hist_.record(elapsed_us(submitted_at));
@@ -431,7 +426,6 @@ SubmitOutcome Service::submit(const SubmitRequest& request) {
     }
     if (static_cast<int>(queue_.size()) >= cfg_.queue_capacity) {
       ++stats_.rejected_busy;
-      obs::count("serve.rejected_busy");
       out.busy = true;
       out.retry_after_ms = busy_retry_hint_locked();
       return out;
@@ -444,7 +438,6 @@ SubmitOutcome Service::submit(const SubmitRequest& request) {
         static_cast<long long>(request.spec_text.size()) + 512;
     if (!evict_cache_for_space_locked(need)) {
       ++stats_.rejected_disk;
-      obs::count("serve.rejected_disk");
       out.disk_full = true;
       out.error = "disk budget exhausted: " + std::to_string(disk_used_) +
                   " of " + std::to_string(cfg_.disk_budget_bytes) +
@@ -469,7 +462,6 @@ SubmitOutcome Service::submit(const SubmitRequest& request) {
       spool_job(job);
     } catch (const Error& e) {
       ++stats_.journal_append_failures;
-      obs::count("serve.journal_append_failures");
       if (refuse_unrecorded_locked(id, e.what(), &out)) return out;
     }
     if (idem != 0) idem_to_job_[idem] = id;
@@ -477,10 +469,8 @@ SubmitOutcome Service::submit(const SubmitRequest& request) {
     stats_.queue_depth = static_cast<int>(queue_.size());
     if (stats_.queue_depth > stats_.queue_peak)
       stats_.queue_peak = stats_.queue_depth;
-    obs::record_peak("serve.queue_depth_peak", stats_.queue_depth);
     ++stats_.admitted;
   }
-  obs::count("serve.admitted");
   work_cv_.notify_one();
   out.admitted = true;
   out.id = id;
@@ -509,7 +499,6 @@ bool Service::cancel(std::uint64_t id) {
       kill_pid = job.child_pid;  // speed up the cooperative stop
     }
   }
-  obs::count("serve.cancel_requests");
   if (finalize_queued) {
     finalize(id, JobOutcome::Cancelled,
              failure_body(queued_kind, "cancelled", "cancelled while queued",
@@ -878,7 +867,6 @@ void Service::run_supervised(std::uint64_t id) {
         ++stats_.running;
         if (job.wait_ms > stats_.wait_ms_max) stats_.wait_ms_max = job.wait_ms;
         stats_.wait_ms_total += static_cast<double>(job.wait_ms);
-        obs::count("serve.wait_ms", job.wait_ms);
         queue_wait_hist_.record(elapsed_us(job.submitted_at));
       }
       AttemptRecord rec;
@@ -901,8 +889,6 @@ void Service::run_supervised(std::uint64_t id) {
       if (remaining_ms < 1) remaining_ms = 1;
     }
 
-    obs::Span span("serve.attempt");
-    obs::count("serve.attempts");
     const std::string result_path = result_spool_path(id);
     const std::string ckpt_path = ckpt_spool_path(id);
     remove_spool_file(result_path);
@@ -999,7 +985,6 @@ void Service::run_supervised(std::uint64_t id) {
       }
       if (watchdog_fired) ++stats_.watchdog_kills;
     }
-    if (watchdog_fired) obs::count("serve.watchdog_kills");
 
     // Ledger: whatever the attempt left on disk (result, checkpoint,
     // telemetry) now counts against the disk budget.
@@ -1040,7 +1025,6 @@ void Service::run_supervised(std::uint64_t id) {
         return;
       }
     }
-    obs::count("serve.retries");
   }
 }
 
@@ -1149,7 +1133,6 @@ bool Service::classify_attempt(std::uint64_t id, int attempt, int wait_status,
         retry_reduced = true;
       }
     }
-    obs::count("serve.resource_exhausted");
     record_attempt_end(id, attempt, "resource");
     if (retry_reduced) return false;
     finalize(id, JobOutcome::FailedHonest,
@@ -1170,7 +1153,6 @@ bool Service::classify_attempt(std::uint64_t id, int attempt, int wait_status,
     const auto it = jobs_.find(id);
     if (it != jobs_.end()) crash_attempts = ++it->second.crash_attempts;
   }
-  obs::count("serve.crashes");
   record_attempt_end(id, attempt,
                      watchdog_fired
                          ? "watchdog"
@@ -1256,14 +1238,6 @@ void Service::finalize(std::uint64_t id, JobOutcome outcome, std::string body,
     e2e_hist_.record(e2e_us);
   }
   cleanup_telemetry(evicted);
-  switch (outcome) {
-    case JobOutcome::Ok: obs::count("serve.ok"); break;
-    case JobOutcome::Masked: obs::count("serve.masked"); break;
-    case JobOutcome::DegradedHonest: obs::count("serve.degraded_honest"); break;
-    case JobOutcome::FailedHonest: obs::count("serve.failed_honest"); break;
-    case JobOutcome::Cancelled: obs::count("serve.cancelled"); break;
-    case JobOutcome::None: break;
-  }
   // Worker scratch goes; telemetry files (.trace.N / .flight.N) stay, since
   // `crusade trace --job` must work on terminal jobs.  They are unlinked
   // with the record when the job leaves the terminal retention window
@@ -1330,7 +1304,6 @@ void Service::note_terminal_locked(
         evicted->emplace_back(victim, it->second.attempts);
       jobs_.erase(it);
     }
-    obs::count("serve.terminal_evicted");
   }
 }
 
@@ -1367,11 +1340,7 @@ void Service::cache_insert(std::uint64_t key, const std::string& body,
               evict_cache_for_space_locked(
                   static_cast<long long>(body.size()) + 64);
   }
-  obs::count("serve.cache_inserts");
-  if (!persist) {
-    obs::count("serve.cache_persist_skipped");
-    return;
-  }
+  if (!persist) return;
   // Persist outside the lock; a full disk costs only the persistence (the
   // in-memory entry still serves hits this incarnation).  One framed CCHE
   // file carries cost + body together, so cost-aware eviction order
@@ -1385,7 +1354,7 @@ void Service::cache_insert(std::uint64_t key, const std::string& body,
                                kCacheEntryVersion, w.bytes());
     track_file(cache_path(key));
   } catch (const Error&) {
-    obs::count("serve.cache_persist_failures");
+    // Memory-only entry, as under disk pressure above.
   }
 }
 
@@ -1394,7 +1363,6 @@ void Service::evict_cheapest_locked() {
   cache_by_cost_.erase(cache_by_cost_.begin());
   cache_.erase(victim);
   ++stats_.cache_evictions;
-  obs::count("serve.cache_evictions");
   // Untrack + unlink inline: an admission decision waiting on this
   // eviction needs the bytes actually reclaimed.
   const std::string path = cache_path(victim);
@@ -1429,11 +1397,9 @@ void Service::remove_spool_file(const std::string& path) {
     util::MutexLock lk(mu_);
     untrack_file_locked(path);
   }
-  if (iofault::xunlink(path.c_str()) != 0 && errno != ENOENT) {
-    // The bytes stay on disk but leave the ledger — temporary accounting
-    // drift that the boot scan corrects on the next start.
-    obs::count("serve.spool_unlink_failures");
-  }
+  // A failed unlink leaves the bytes on disk but out of the ledger —
+  // temporary accounting drift that the boot scan corrects on the next start.
+  (void)iofault::xunlink(path.c_str());
 }
 
 bool Service::evict_cache_for_space_locked(long long need) {
@@ -1448,14 +1414,6 @@ void Service::install_spool_locked(SpoolScan scan) {
   stats_.fsck_findings = static_cast<std::int64_t>(report.items.size());
   stats_.fsck_repairs = report.repairs;
   stats_.spool_quarantined += report.quarantines;
-  if (!report.items.empty())
-    obs::count("serve.fsck_findings",
-               static_cast<long long>(report.items.size()));
-  if (report.repairs > 0) obs::count("serve.fsck_repairs", report.repairs);
-  if (report.quarantines > 0)
-    obs::count("serve.spool_quarantined", report.quarantines);
-  if (report.repair_failures > 0)
-    obs::count("serve.fsck_repair_failures", report.repair_failures);
 
   // The ledger is the scan's byte count, with anything unattributable
   // surfaced as drift.  Corrupt records the scan could not quarantine stay
@@ -1469,8 +1427,6 @@ void Service::install_spool_locked(SpoolScan scan) {
         item.action != "quarantined")
       unquarantined.insert(item.id);
   }
-  if (stats_.ledger_drift_bytes > 0)
-    obs::count("disk.ledger_drift", stats_.ledger_drift_bytes);
 
   // Cache: every valid entry goes in, then capacity evicts cheapest first,
   // the order cache_insert uses.
@@ -1500,7 +1456,6 @@ void Service::install_spool_locked(SpoolScan scan) {
         untrack_file_locked(job_spool_path(r.id));
         (void)iofault::xunlink(job_spool_path(r.id).c_str());
       }
-      obs::count("serve.terminal_evicted");
       continue;
     }
     Job& job = jobs_[r.id];
@@ -1520,7 +1475,6 @@ void Service::install_spool_locked(SpoolScan scan) {
     terminal_order_.push_back(r.id);
     if (r.finish_seq > finish_seq_) finish_seq_ = r.finish_seq;
     ++stats_.results_recovered;
-    obs::count("serve.results_recovered");
   }
 
   // Queued records re-enter the queue as recovered jobs (checkpoints make
@@ -1542,7 +1496,6 @@ void Service::install_spool_locked(SpoolScan scan) {
     queue_.insert({-static_cast<long long>(job.req.priority), id});
     ++recovered_;
     ++stats_.recovered;
-    obs::count("serve.recovered");
   }
   // Ids above every file name under jobs/: an id whose record could not be
   // read this boot is never reissued.
@@ -1567,7 +1520,6 @@ void Service::install_spool_locked(SpoolScan scan) {
       if (iofault::xunlink(path.c_str()) == 0 || errno == ENOENT) {
         untrack_file_locked(path);
         ++stats_.quarantine_evicted;
-        obs::count("serve.quarantine_evicted");
       }
     }
   }
@@ -1610,13 +1562,10 @@ void Service::persist_terminal_locked(Job& job) {
   } catch (const Error&) {
     ++stats_.result_persist_failures;
     ++stats_.journal_append_failures;
-    obs::count("serve.result_persist_failures");
-    obs::count("serve.journal_append_failures");
     throw;
   }
   track_file_locked(job_spool_path(job.id), bytes);
   ++stats_.results_persisted;
-  obs::count("serve.results_persisted");
 }
 
 bool Service::refuse_unrecorded_locked(std::uint64_t id,
@@ -1636,7 +1585,6 @@ bool Service::refuse_unrecorded_locked(std::uint64_t id,
   }
   jobs_.erase(id);
   ++stats_.rejected_bad;
-  obs::count("serve.rejected_bad");
   out->error = "spool write failed: " + why;
   return true;
 }

@@ -14,6 +14,7 @@
 #include "ckpt/checkpoint.hpp"
 #include "ckpt/serialize.hpp"
 #include "core/crusade.hpp"
+#include "core/report.hpp"
 #include "ft/crusade_ft.hpp"
 #include "graph/spec_io.hpp"
 #include "obs/flight.hpp"
@@ -62,26 +63,6 @@ std::string hex64(std::uint64_t v) {
   std::snprintf(buf, sizeof buf, "%016llx",
                 static_cast<unsigned long long>(v));
   return buf;
-}
-
-/// Deterministic fingerprint of everything a run's outcome promises —
-/// architecture bytes, feasibility, cost, search counters, validator
-/// verdict.  The serve tests hold cached results and crash-resumed results
-/// to bit-identity with a fresh run through this value (the same contract
-/// `crusade soak` enforces).
-std::string run_signature(const CrusadeResult& r) {
-  ckpt::BinWriter w;
-  ckpt::write_architecture(w, r.arch);
-  w.u8(r.feasible ? 1 : 0);
-  w.f64(r.cost.total());
-  w.i64(r.stats.sched_evals);
-  w.i64(r.stats.repair_moves);
-  w.i64(r.stats.merges_tried);
-  w.i64(r.stats.merges_accepted);
-  w.i64(r.stats.merge_reschedules);
-  w.i64(r.stats.mode_consolidations);
-  w.u8(r.validation.clean() ? 1 : 0);
-  return hex64(ckpt::fnv1a(w.bytes()));
 }
 
 [[noreturn]] void finish(const std::string& result_path,
@@ -227,20 +208,16 @@ std::string error_body(JobKind kind, const char* klass,
   // wrong with it — truncated by the crash window, foreign fingerprint —
   // means starting fresh, never resuming a lie.
   ckpt::Checkpoint resume_from;
-  bool resuming = false;
   const std::uint64_t spec_hash = Crusade::fingerprint(spec, lib, params);
   if (std::ifstream(ckpt_path).good()) {
     try {
       resume_from = ckpt::load_checkpoint(ckpt_path, lib);
       ckpt::check_spec_hash(resume_from, spec_hash);
       params.resume = &resume_from;
-      resuming = true;
     } catch (const Error&) {
-      resuming = false;
       params.resume = nullptr;
     }
   }
-  (void)resuming;
 
   if (deadline_ms > 0) control.set_deadline_ms(deadline_ms);
 
@@ -263,8 +240,8 @@ std::string error_body(JobKind kind, const char* klass,
       .key("resumed").value(r.resumed)
       .key("validation_clean").value(r.validation.clean())
       .key("violations").value(static_cast<int>(r.validation.violations.size()))
-      .key("arch_hash").value(hex64(arch_fingerprint(r.arch)))
-      .key("signature").value(run_signature(r))
+      .key("arch_hash").value(arch_fingerprint(r.arch))
+      .key("signature").value(result_signature(r))
       .key("cost").value(r.cost.total(), 2)
       .key("power_mw").value(r.power_mw, 2)
       .key("pes").value(r.pe_count)
@@ -336,12 +313,6 @@ std::string error_body(JobKind kind, const char* klass,
 }
 
 }  // namespace
-
-std::uint64_t arch_fingerprint(const Architecture& arch) {
-  ckpt::BinWriter w;
-  ckpt::write_architecture(w, arch);
-  return ckpt::fnv1a(w.bytes());
-}
 
 std::string worker_trace_text(int attempt) {
   std::ostringstream out;

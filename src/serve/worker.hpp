@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <string>
 
-#include "alloc/architecture.hpp"
 #include "serve/protocol.hpp"
 
 namespace crusade::serve {
@@ -96,10 +95,5 @@ struct WorkerLimits {
 ///   C <value> <name>                    (one per counter)
 /// Exposed for tests; run_worker_attempt writes it on every finish path.
 std::string worker_trace_text(int attempt);
-
-/// FNV-1a of the canonical architecture serialization — the bit-identity
-/// key the soak harness and the serve tests compare across crash/resume
-/// and cache boundaries.
-std::uint64_t arch_fingerprint(const Architecture& arch);
 
 }  // namespace crusade::serve

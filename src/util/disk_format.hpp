@@ -25,8 +25,7 @@ namespace crusade::diskfmt {
 /// Fixed header size: magic + version + CRC + payload length.
 inline constexpr std::size_t kHeaderBytes = 4 + 4 + 4 + 8;
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) over a byte string — the same
-/// function ckpt::crc32 delegates to.
+/// CRC-32 (IEEE 802.3 polynomial, reflected) over a byte string.
 std::uint32_t crc32(const std::string& bytes);
 
 /// Wraps `payload` in the framed header.  `magic` must be exactly 4 bytes.

@@ -17,6 +17,7 @@
 #include "example_specs.hpp"
 #include "obs/obs.hpp"
 #include "util/atomic_file.hpp"
+#include "util/disk_format.hpp"
 #include "util/error.hpp"
 #include "util/io_faults.hpp"
 #include "util/run_control.hpp"
@@ -149,8 +150,8 @@ TEST(SerializeTest, HugeLengthPrefixThrows) {
 
 TEST(SerializeTest, Crc32KnownVector) {
   // The standard IEEE 802.3 check value.
-  EXPECT_EQ(ckpt::crc32("123456789"), 0xCBF43926u);
-  EXPECT_EQ(ckpt::crc32(""), 0u);
+  EXPECT_EQ(diskfmt::crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(diskfmt::crc32(""), 0u);
 }
 
 TEST(SerializeTest, Fnv1aKnownVectors) {
@@ -179,15 +180,15 @@ ckpt::Checkpoint sample_checkpoint() {
   ckpt::Checkpoint c;
   c.stage = ckpt::Stage::Merge;
   c.spec_hash = 0x1122334455667788ull;
-  c.arch = r.arch;
-  c.placed.assign(7, 1);
-  c.sched_evals = 321;
-  c.clusters_with_misses = 2;
-  c.committed_tardiness = 12345;
-  c.committed_estimate = -6789;
-  c.committed_failures = 3;
+  c.alloc.arch = r.arch;
+  c.alloc.placed.assign(7, 1);
+  c.alloc.clusters_with_misses = 2;
+  c.alloc.committed_tardiness = 12345;
+  c.alloc.committed_estimate = -6789;
+  c.alloc.committed_failures = 3;
   c.merge_report = r.merge_report;
   c.stats = r.stats;
+  c.stats.sched_evals = 321;
   return c;
 }
 
@@ -197,13 +198,12 @@ TEST(CheckpointTest, EncodeDecodeRoundTrip) {
   const ckpt::Checkpoint back = ckpt::decode_checkpoint(bytes, lib());
   EXPECT_EQ(back.stage, c.stage);
   EXPECT_EQ(back.spec_hash, c.spec_hash);
-  EXPECT_EQ(arch_bytes(back.arch), arch_bytes(c.arch));
-  EXPECT_EQ(back.placed, c.placed);
-  EXPECT_EQ(back.sched_evals, c.sched_evals);
-  EXPECT_EQ(back.clusters_with_misses, c.clusters_with_misses);
-  EXPECT_EQ(back.committed_tardiness, c.committed_tardiness);
-  EXPECT_EQ(back.committed_estimate, c.committed_estimate);
-  EXPECT_EQ(back.committed_failures, c.committed_failures);
+  EXPECT_EQ(arch_bytes(back.alloc.arch), arch_bytes(c.alloc.arch));
+  EXPECT_EQ(back.alloc.placed, c.alloc.placed);
+  EXPECT_EQ(back.alloc.clusters_with_misses, c.alloc.clusters_with_misses);
+  EXPECT_EQ(back.alloc.committed_tardiness, c.alloc.committed_tardiness);
+  EXPECT_EQ(back.alloc.committed_estimate, c.alloc.committed_estimate);
+  EXPECT_EQ(back.alloc.committed_failures, c.alloc.committed_failures);
   EXPECT_EQ(back.stats.sched_evals, c.stats.sched_evals);
   EXPECT_EQ(back.stats.repair_moves, c.stats.repair_moves);
   EXPECT_DOUBLE_EQ(back.stats.allocation_seconds, c.stats.allocation_seconds);
@@ -242,6 +242,19 @@ TEST(CheckpointTest, CorruptionFailsLoudly) {
   std::string bad_version = good;
   bad_version[4] = static_cast<char>(0x7f);  // unsupported version
   EXPECT_THROW(ckpt::decode_checkpoint(bad_version, lib()), Error);
+
+  // An intact version-1 frame (the layout before AllocState) is refused
+  // with the version error, never misread.
+  const std::string v1 = diskfmt::frame(
+      "CKPT", 1, diskfmt::unframe(good, "CKPT", 2).payload);
+  try {
+    ckpt::decode_checkpoint(v1, lib());
+    ADD_FAILURE() << "a version-1 checkpoint decoded";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported checkpoint version 1"),
+              std::string::npos)
+        << e.what();
+  }
 
   // A flipped payload byte is caught by the CRC.
   std::string flipped = good;
@@ -350,65 +363,6 @@ TEST(CheckpointTest, ResumeWithWrongSpecThrows) {
   CrusadeParams resume;
   resume.resume = &trail.front();
   EXPECT_THROW(Crusade(other, lib(), resume).run(), Error);
-}
-
-// --- peek_checkpoint (the daemon's cheap spool integrity probe) ------------
-
-TEST(CheckpointTest, PeekMatchesSavedHeaderWithoutLibrary) {
-  const Specification spec = quickstart_spec(lib());
-  CrusadeParams record;
-  std::vector<ckpt::Checkpoint> trail;
-  record.checkpoint.every_evals = 1;
-  record.checkpoint.on_write = [&](const ckpt::Checkpoint& c) {
-    trail.push_back(c);
-  };
-  (void)Crusade(spec, lib(), record).run();
-  ASSERT_FALSE(trail.empty());
-
-  TempFile f("ckpt_test_peek");
-  ckpt::save_checkpoint(f.path, trail.back());
-  const ckpt::CheckpointInfo info = ckpt::peek_checkpoint(f.path);
-  EXPECT_EQ(info.version, ckpt::kCheckpointVersion);
-  EXPECT_EQ(info.stage, trail.back().stage);
-  EXPECT_EQ(info.spec_hash, trail.back().spec_hash);
-  EXPECT_GT(info.payload_bytes, 0u);
-}
-
-TEST(CheckpointTest, PeekFailsLoudlyOnEveryCorruptionMode) {
-  const Specification spec = quickstart_spec(lib());
-  CrusadeParams record;
-  std::vector<ckpt::Checkpoint> trail;
-  record.checkpoint.every_evals = 1;
-  record.checkpoint.on_write = [&](const ckpt::Checkpoint& c) {
-    trail.push_back(c);
-  };
-  (void)Crusade(spec, lib(), record).run();
-  ASSERT_FALSE(trail.empty());
-  const std::string good = ckpt::encode_checkpoint(trail.back());
-
-  TempFile f("ckpt_test_peek_corrupt");
-  EXPECT_THROW(ckpt::peek_checkpoint(f.path), Error);  // missing file
-
-  atomic_write_file(f.path, good.substr(0, 10));  // truncated header
-  EXPECT_THROW(ckpt::peek_checkpoint(f.path), Error);
-
-  atomic_write_file(f.path, good.substr(0, good.size() - 1));  // short payload
-  EXPECT_THROW(ckpt::peek_checkpoint(f.path), Error);
-
-  std::string flipped = good;
-  flipped[good.size() / 2] ^= 0x40;  // payload bit flip -> CRC mismatch
-  atomic_write_file(f.path, flipped);
-  EXPECT_THROW(ckpt::peek_checkpoint(f.path), Error);
-
-  std::string bad_magic = good;
-  bad_magic[0] = 'X';
-  atomic_write_file(f.path, bad_magic);
-  EXPECT_THROW(ckpt::peek_checkpoint(f.path), Error);
-
-  // The pristine bytes still peek (the corruption tests above did not pass
-  // by accident).
-  atomic_write_file(f.path, good);
-  EXPECT_EQ(ckpt::peek_checkpoint(f.path).spec_hash, trail.back().spec_hash);
 }
 
 // --- anytime semantics ----------------------------------------------------
@@ -530,8 +484,8 @@ TEST(AnytimeTest, StoppedRunsDoNotCheckpointWrapUpStates) {
   // clean run passed through (prefix property on the committed arch).
   ASSERT_LE(stopped_trail.size(), clean_trail.size());
   for (std::size_t i = 0; i < stopped_trail.size(); ++i) {
-    EXPECT_EQ(arch_bytes(stopped_trail[i].arch),
-              arch_bytes(clean_trail[i].arch))
+    EXPECT_EQ(arch_bytes(stopped_trail[i].alloc.arch),
+              arch_bytes(clean_trail[i].alloc.arch))
         << i;
   }
   (void)baseline;

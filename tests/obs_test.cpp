@@ -1,8 +1,10 @@
 // Tests for the observability subsystem (src/obs) and the CLI JSON writer:
 // span nesting and ordering, counter atomicity under threads, Chrome
 // trace-event JSON validity (parsed back with a real parser below), the
-// zero-cost disabled path, and RunStats consistency against the allocator's
-// own evaluation tally on a paper example.
+// zero-cost disabled path, RunStats consistency against the allocator's
+// own evaluation tally on a paper example, and exact per-run RunStats
+// counters: identical with tracing on and off, equal to the traced registry
+// deltas, and unchanged when two runs share the process.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -26,6 +28,8 @@
 #include "obs/histogram.hpp"
 #include "obs/obs.hpp"
 #include "obs/runstats.hpp"
+#include "tgff/generator.hpp"
+#include "tgff/profiles.hpp"
 #include "util/atomic_file.hpp"
 
 namespace crusade {
@@ -392,7 +396,7 @@ TEST_F(ObsTest, RunStatsMatchesAllocatorTallyOnPaperExample) {
 
   // The headline consistency contract: RunStats' scheduler-evaluation count
   // IS the allocator's budgeted tally, and the obs counter incremented at
-  // every AllocationSearch::evaluate agrees with both.
+  // every Allocator::evaluate agrees with both.
   EXPECT_GT(result.stats.sched_evals, 0);
   EXPECT_EQ(result.stats.sched_evals,
             obs::counter_value("alloc.sched_evals"));
@@ -467,21 +471,124 @@ TEST_F(ObsTest, FtAndSurvivePhasesLandInStatsAndTrace) {
 }
 
 TEST_F(ObsTest, DisabledRunReportsPhaseTimesButNoGatedCounters) {
-  obs::set_enabled(false);
+  // No RunStats counter is gated on tracing: with tracing off a run reports
+  // its phase times and exactly the counters of the same run traced, and
+  // records no events.
   const ResourceLibrary lib = telecom_1999();
   const Specification spec = quickstart_spec(lib);
+  const CrusadeResult traced = Crusade(spec, lib, {}).run();
+  obs::set_enabled(false);
+  obs::reset();
   const CrusadeResult result = Crusade(spec, lib, {}).run();
-  // Wall-clock phase laps and struct-carried tallies survive without
-  // tracing; registry-derived counters stay zero.
   EXPECT_GT(result.stats.total_seconds, 0);
   EXPECT_GT(result.stats.sched_evals, 0);
   EXPECT_GT(result.stats.clusters, 0);
-  EXPECT_EQ(result.stats.sched_invocations, 0);
-  EXPECT_EQ(result.stats.finish_estimates, 0);
+  EXPECT_GT(result.stats.sched_invocations, 0);
+  EXPECT_GT(result.stats.finish_estimates, 0);
+  EXPECT_GT(result.stats.alloc_candidates, 0);
+  EXPECT_EQ(result.stats.counter_rows(), traced.stats.counter_rows());
   EXPECT_EQ(obs::event_count(), 0u);
 }
 
-// --- high-watermark counters (serve.queue_depth_peak) ----------------------
+// --- exact per-run counters ----------------------------------------------
+
+/// Runs `synthesize` untraced, then traced in a fresh obs session.  The two
+/// RunStats must carry identical counters, and every counter the obs
+/// registry also keeps must equal the traced run's registry delta.
+template <typename Synthesize>
+void expect_exact_counters(const Synthesize& synthesize,
+                           const std::string& what) {
+  obs::set_enabled(false);
+  obs::reset();
+  const RunStats untraced = synthesize();
+  obs::set_enabled(true);
+  const RunStats traced = synthesize();
+  obs::set_enabled(false);
+  EXPECT_EQ(untraced.counter_rows(), traced.counter_rows()) << what;
+  EXPECT_GT(traced.sched_invocations, 0) << what;
+  // Every allocator evaluation estimates finish times; nothing else does.
+  EXPECT_EQ(traced.finish_estimates, traced.sched_evals) << what;
+  const std::pair<std::int64_t, const char*> registry[] = {
+      {traced.sched_evals, "alloc.sched_evals"},
+      {traced.sched_invocations, "sched.invocations"},
+      {traced.finish_estimates, "sched.finish_estimates"},
+      {traced.alloc_candidates, "alloc.candidates"},
+      {traced.merge_reschedules, "merge.reschedules"},
+  };
+  for (const auto& [value, name] : registry)
+    EXPECT_EQ(value, obs::counter_value(name)) << what << ": " << name;
+  obs::reset();
+}
+
+Specification profile_spec(const ResourceLibrary& lib, const char* profile,
+                           double scale) {
+  return SpecGenerator(lib).generate(
+      profile_config(profile_by_name(profile), scale));
+}
+
+class RunStatsExactTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(RunStatsExactTest, IdenticalWithTracingOnAndOff) {
+  const ResourceLibrary lib = telecom_1999();
+  const Specification spec = profile_spec(lib, GetParam(), 0.03);
+  for (bool reconfig : {true, false}) {
+    CrusadeParams params;
+    params.enable_reconfig = reconfig;
+    expect_exact_counters(
+        [&] { return Crusade(spec, lib, params).run().stats; },
+        std::string(GetParam()) + (reconfig ? "" : " without reconfig"));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Table2Profiles, RunStatsExactTest,
+                         ::testing::Values("A1TR", "VDRTX", "HROST",
+                                           "EST189A", "HRXC", "ADMR", "B192G",
+                                           "NGXM"));
+
+class RunStatsExactFtTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(RunStatsExactFtTest, IdenticalWithTracingOnAndOff) {
+  const ResourceLibrary lib = telecom_1999();
+  const Specification spec = profile_spec(lib, GetParam(), 0.02);
+  for (bool reconfig : {true, false}) {
+    CrusadeFtParams params;
+    params.base.enable_reconfig = reconfig;
+    expect_exact_counters(
+        [&] { return CrusadeFt(spec, lib, params).run().synthesis.stats; },
+        std::string(GetParam()) + "-FT" +
+            (reconfig ? "" : " without reconfig"));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Table3Profiles, RunStatsExactFtTest,
+                         ::testing::Values("A1TR", "VDRTX", "HROST",
+                                           "EST189A", "HRXC"));
+
+// Two runs sharing a process (and, traced, one obs registry) each report
+// the counters they report alone.
+TEST(RunStatsConcurrencyTest, ConcurrentRunsReportTheirSoloCounters) {
+  const ResourceLibrary lib = telecom_1999();
+  const Specification a1tr = profile_spec(lib, "A1TR", 0.03);
+  const Specification ngxm = profile_spec(lib, "NGXM", 0.03);
+  const RunStats solo_a1tr = Crusade(a1tr, lib).run().stats;
+  const RunStats solo_ngxm = Crusade(ngxm, lib).run().stats;
+  ASSERT_GT(solo_a1tr.sched_invocations, 0);
+  ASSERT_GT(solo_ngxm.alloc_candidates, 0);
+
+  obs::reset();
+  obs::set_enabled(true);
+  RunStats both_a1tr, both_ngxm;
+  {
+    std::jthread a([&] { both_a1tr = Crusade(a1tr, lib).run().stats; });
+    std::jthread n([&] { both_ngxm = Crusade(ngxm, lib).run().stats; });
+  }
+  obs::set_enabled(false);
+  obs::reset();
+  EXPECT_EQ(both_a1tr.counter_rows(), solo_a1tr.counter_rows());
+  EXPECT_EQ(both_ngxm.counter_rows(), solo_ngxm.counter_rows());
+}
+
+// --- high-watermark counters ----------------------------------------------
 
 TEST_F(ObsTest, RecordPeakKeepsHighWatermark) {
   obs::record_peak("test.peak", 5);

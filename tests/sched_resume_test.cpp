@@ -101,8 +101,8 @@ void check_committed_pairs(const Specification& spec, bool reconfig,
   std::vector<Architecture> commits;
   CrusadeParams params;
   params.enable_reconfig = reconfig;
-  params.alloc.progress_hook = [&](const AllocProgress& p) {
-    commits.push_back(*p.arch);
+  params.alloc.progress_hook = [&](const AllocState& state) {
+    commits.push_back(state.arch);
   };
   const CrusadeResult result = Crusade(spec, lib(), params).run();
   ASSERT_GE(commits.size(), 2u) << name;

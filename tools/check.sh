@@ -5,7 +5,8 @@
 #      writes, signal safety — DESIGN.md §14), --json round-tripped through
 #      a real parser
 #   3. `crusade trace` on a paper example, trace JSON round-tripped through
-#      a real parser
+#      a real parser, and an untraced `crusade run --json` of the same spec
+#      reporting the same RunStats counters
 #   4. clang-tidy over the library/tool sources (skipped when not installed)
 #   5. cppcheck over the same sources (skipped when not installed)
 #   6. kill/resume smoke: `crusade soak` SIGKILLs synthesis children at
@@ -30,9 +31,10 @@
 #      BENCH_recovery.json parse-back asserts every boot recovered all
 #      terminal answers and parked jobs (the honesty gate)
 #  14. TSan configuration: serve_test (the one multi-threaded subsystem,
-#      including the seeded chaos campaign) plus a live `crusaded` daemon
-#      driven by a `crusade submit` loop — races between the supervisor,
-#      workers, and socket handlers surface here, not in the
+#      including the seeded chaos campaign), two syntheses on separate
+#      threads (obs_test's RunStatsConcurrencyTest), plus a live `crusaded`
+#      daemon driven by a `crusade submit` loop — races between the
+#      supervisor, workers, and socket handlers surface here, not in the
 #      single-threaded suites
 #  15. benchmark paper totals + smoke: `crusade_bench/run.py --paper`
 #      reproduces seed 1 of Tables 2-3 exactly (cost, evaluations,
@@ -147,21 +149,34 @@ fi
 
 stage "crusade trace (Chrome trace-event JSON round-trip)"
 ./build-ci/tools/crusade trace data/figure2.spec -o build-ci/trace.json \
-  > /dev/null
+  --json > build-ci/trace-run.json
+# RunStats counters do not depend on tracing: a plain run (no --trace, no
+# --stats) must report exactly the traced run's counters.
+./build-ci/tools/crusade run data/figure2.spec --json > build-ci/plain-run.json
 if command -v python3 >/dev/null 2>&1; then
-  python3 - build-ci/trace.json <<'EOF'
+  python3 - build-ci/trace.json build-ci/trace-run.json \
+    build-ci/plain-run.json <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 phases = {e["name"] for e in doc["traceEvents"]
           if e["name"].startswith("phase.")}
 assert len(phases) >= 5, f"expected >=5 phase spans, got {sorted(phases)}"
+traced = json.load(open(sys.argv[2]))["stats"]["counters"]
+plain = json.load(open(sys.argv[3]))["stats"]["counters"]
+assert traced["sched.invocations"] > 0, traced
+assert plain == traced, f"untraced counters {plain} != traced {traced}"
 EOF
-  echo "trace JSON: valid, >=5 phase spans (python3)"
+  echo "trace JSON: valid, >=5 phase spans, untraced counters = traced" \
+    "(python3)"
   stage_ok
 elif command -v jq >/dev/null 2>&1; then
   jq -e '[.traceEvents[].name | select(startswith("phase."))] | unique
          | length >= 5' build-ci/trace.json > /dev/null
-  echo "trace JSON: valid, >=5 phase spans (jq)"
+  jq -e -n --slurpfile t build-ci/trace-run.json \
+    --slurpfile p build-ci/plain-run.json \
+    '$t[0].stats.counters["sched.invocations"] > 0
+     and $p[0].stats.counters == $t[0].stats.counters' > /dev/null
+  echo "trace JSON: valid, >=5 phase spans, untraced counters = traced (jq)"
   stage_ok
 else
   stage_skip "no python3 or jq for JSON round-trip"
@@ -524,14 +539,19 @@ UBSAN_OPTIONS=print_stacktrace=1 \
   > /dev/null
 stage_ok
 
-stage "thread sanitizer configuration (serve subsystem)"
+stage "thread sanitizer configuration (serve subsystem, concurrent runs)"
 cmake --preset tsan
-cmake --build --preset tsan -j "$(nproc)" --target serve_test crusaded
+cmake --build --preset tsan -j "$(nproc)" --target serve_test obs_test \
+  crusaded
 # die_after_fork=0: the service forks worker attempts from a process that
 # legitimately runs supervisor threads; the forked child execs no threads.
 # serve_test includes the seeded chaos campaign (ServeChaosTest), so the
 # injected-fault paths run under TSan here as well.
 TSAN_OPTIONS="halt_on_error=1 die_after_fork=0" ./build-tsan/tests/serve_test
+# Two syntheses on separate threads, each counting into its own RunStats
+# while sharing one traced obs registry.
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/obs_test \
+  --gtest_filter='RunStatsConcurrencyTest.*'
 stage_ok
 
 stage "serve daemon load smoke under TSan"

@@ -46,7 +46,6 @@
 
 #include "analyze/analyzer.hpp"
 #include "ckpt/checkpoint.hpp"
-#include "ckpt/serialize.hpp"
 #include "core/crusade.hpp"
 #include "core/field_upgrade.hpp"
 #include "core/report.hpp"
@@ -130,37 +129,6 @@ void install_stop_handlers() {
   std::signal(SIGTERM, handle_stop_signal);
 }
 
-/// FNV-1a of the canonical architecture serialization: two architectures
-/// hash equal iff their serialized bytes are identical, which is the
-/// bit-identity the soak harness asserts across crash/resume boundaries.
-std::uint64_t arch_hash(const Architecture& arch) {
-  ckpt::BinWriter w;
-  ckpt::write_architecture(w, arch);
-  return ckpt::fnv1a(w.bytes());
-}
-
-/// Deterministic fingerprint of everything a run's outcome promises:
-/// architecture bytes, feasibility, cost, the deterministic search
-/// counters, and the validator's verdict.  Two runs of the same search —
-/// interrupted or not — must produce equal signatures.
-std::string result_signature(const CrusadeResult& r) {
-  ckpt::BinWriter w;
-  ckpt::write_architecture(w, r.arch);
-  w.u8(r.feasible ? 1 : 0);
-  w.f64(r.cost.total());
-  w.i64(r.stats.sched_evals);
-  w.i64(r.stats.repair_moves);
-  w.i64(r.stats.merges_tried);
-  w.i64(r.stats.merges_accepted);
-  w.i64(r.stats.merge_reschedules);
-  w.i64(r.stats.mode_consolidations);
-  w.u8(r.validation.clean() ? 1 : 0);
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(ckpt::fnv1a(w.bytes())));
-  return buf;
-}
-
 bool file_exists(const std::string& path) {
   return std::ifstream(path).good();
 }
@@ -228,10 +196,7 @@ int cmd_run(int argc, char** argv) {
   const bool want_trace = args.options.count("--trace") != 0;
   const bool want_stats = args.flags.count("--stats") != 0;
   const bool want_json = args.flags.count("--json") != 0;
-  // --stats without --trace still enables the counter registry so the
-  // tracing-gated RunStats fields (sched.invocations &c.) are populated;
-  // phase wall times alone would not need it.
-  if (want_trace || want_stats) {
+  if (want_trace) {
     obs::reset();
     obs::set_enabled(true);
   }
@@ -298,9 +263,6 @@ int cmd_run(int argc, char** argv) {
   if (want_json) {
     // Machine-readable envelope; the stats sub-document comes straight from
     // RunStats::to_json so CLI and library schemas cannot drift.
-    char hash_hex[32];
-    std::snprintf(hash_hex, sizeof hash_hex, "%016llx",
-                  static_cast<unsigned long long>(arch_hash(r.arch)));
     tools::JsonWriter w;
     w.begin_object()
         .key("spec").value(args.positional[0])
@@ -308,7 +270,7 @@ int cmd_run(int argc, char** argv) {
         .key("stopped").value(r.stopped)
         .key("resumed").value(r.resumed)
         .key("validation_clean").value(r.validation.clean())
-        .key("arch_hash").value(std::string(hash_hex))
+        .key("arch_hash").value(arch_fingerprint(r.arch))
         .key("cost").value(r.cost.total(), 2)
         .key("power_mw").value(r.power_mw, 2)
         .key("pes").value(r.pe_count)
@@ -355,10 +317,6 @@ int cmd_ft(int argc, char** argv) {
     spec.boot_time_requirement = parse_time(args.options.at("--boot-req"));
   const bool want_json = args.flags.count("--json") != 0;
   const bool want_stats = args.flags.count("--stats") != 0;
-  if (want_stats) {
-    obs::reset();
-    obs::set_enabled(true);
-  }
   CrusadeFtParams params;
   params.base.enable_reconfig = !args.flags.count("--no-reconfig");
   if (args.options.count("--power-cap"))

@@ -4,7 +4,7 @@
 //            [--queue-cap <n>] [--max-attempts <n>] [--cache-cap <n>]
 //            [--checkpoint-every <evals>] [--attempt-timeout-ms <n>]
 //            [--limit-as-mb <n>] [--limit-cpu-s <n>] [--limit-fsize-mb <n>]
-//            [--disk-budget-mb <n>] [--chaos <seed[:rate]>] [--obs]
+//            [--disk-budget-mb <n>] [--chaos <seed[:rate]>]
 //            [--fsck [--dry-run]]
 //
 // --fsck runs the boot-time spool scan standalone (verify every job record
@@ -27,7 +27,6 @@
 #include <cstring>
 #include <string>
 
-#include "obs/obs.hpp"
 #include "serve/daemon.hpp"
 #include "serve/fsck.hpp"
 #include "util/error.hpp"
@@ -44,7 +43,7 @@ int usage() {
                "[--cache-cap <n>] [--checkpoint-every <evals>] "
                "[--attempt-timeout-ms <n>] [--limit-as-mb <n>] "
                "[--limit-cpu-s <n>] [--limit-fsize-mb <n>] "
-               "[--disk-budget-mb <n>] [--chaos <seed[:rate]>] [--obs] "
+               "[--disk-budget-mb <n>] [--chaos <seed[:rate]>] "
                "[--fsck [--dry-run]]\n"
                "  --fsck  scan the spool once, print the JSON report and "
                "exit: corrupt job records\n"
@@ -70,7 +69,6 @@ int main(int argc, char** argv) {
   serve::DaemonConfig cfg;
   cfg.socket_path = "/tmp/crusaded.sock";
   cfg.service.spool_dir = "/tmp/crusaded.spool";
-  bool obs_on = false;
   bool fsck_only = false;
   bool fsck_dry_run = false;
 
@@ -120,7 +118,6 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
-    else if (a == "--obs") obs_on = true;
     else if (a == "--fsck") fsck_only = true;
     else if (a == "--dry-run") fsck_dry_run = true;
     else return usage();
@@ -137,7 +134,6 @@ int main(int argc, char** argv) {
     return report.repair_failures > 0 ? 1 : 0;
   }
 
-  if (obs_on) obs::set_enabled(true);
   std::signal(SIGINT, daemon_stop_signal);
   std::signal(SIGTERM, daemon_stop_signal);
 
