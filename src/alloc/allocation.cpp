@@ -140,9 +140,12 @@ bool Allocator::exclusion_clash(const Architecture& arch,
   return false;
 }
 
-bool Allocator::apply(Architecture& arch, const Cluster& cluster, int pe,
-                      int mode, const std::vector<int>& task_cluster) const {
-  arch.place_cluster(cluster.id, pe, mode, cluster.graph, cluster.memory,
+void Allocator::materialize(Architecture& arch, const Candidate& cand,
+                            const Cluster& cluster,
+                            const std::vector<int>& task_cluster) const {
+  if (cand.new_instance) arch.add_pe(cand.new_type);
+  const int pe = cand.pe;
+  arch.place_cluster(cluster.id, pe, cand.mode, cluster.graph, cluster.memory,
                      cluster.gates, cluster.pfus, cluster.pins);
 
   // Wire boundary edges: every edge between this cluster and an
@@ -261,31 +264,31 @@ bool Allocator::apply(Architecture& arch, const Cluster& cluster, int pe,
       wire_edge(eid, arch.cluster_pe[dc]);
     }
   }
-  return true;
 }
 
 std::vector<Allocator::Candidate> Allocator::enumerate(
     const Architecture& arch, const Cluster& cluster,
-    const std::vector<int>& task_cluster) const {
+    const std::vector<int>& task_cluster) {
   OBS_SPAN("alloc.enumerate");
   std::vector<Candidate> candidates;
   const double base_cost = arch.cost().total();
 
-  auto push = [&](Architecture applied, PeTypeId target_type,
-                  bool created_mode) {
-    Candidate cand;
-    cand.arch = std::move(applied);
-    cand.delta_cost = cand.arch.cost().total() - base_cost;
-    cand.preference =
-        cluster.preference.empty() ? 0 : cluster.preference[target_type];
-    cand.created_mode = created_mode;
-    candidates.push_back(std::move(cand));
+  auto push = [&](Candidate cand) {
+    scratch_ = arch;
+    materialize(scratch_, cand, cluster, task_cluster);
+    cand.delta_cost = scratch_.cost().total() - base_cost;
+    cand.preference = cluster.preference.empty()
+                          ? 0
+                          : cluster.preference[scratch_.pes[cand.pe].type];
+    candidates.push_back(cand);
   };
 
   auto try_existing = [&](int pe, int mode, bool created_mode) {
-    Architecture applied = arch;
-    if (!apply(applied, cluster, pe, mode, task_cluster)) return;
-    push(std::move(applied), arch.pes[pe].type, created_mode);
+    Candidate cand;
+    cand.pe = pe;
+    cand.mode = mode;
+    cand.created_mode = created_mode;
+    push(cand);
   };
 
   // --- existing PE instances ---
@@ -399,11 +402,11 @@ std::vector<Allocator::Candidate> Allocator::enumerate(
   for (PeTypeId type = 0; params_.allow_new_pes && type < lib_.pe_count();
        ++type) {
     if (!cluster.feasible_pe[type] || pe_type_pruned(type)) continue;
-    Architecture applied = arch;
-    const int pe = applied.add_pe(type);
-    if (!apply(applied, cluster, pe, 0, task_cluster)) continue;
-    push(std::move(applied), type, false);
-    candidates.back().new_instance = true;
+    Candidate cand;
+    cand.pe = static_cast<int>(arch.pes.size());
+    cand.new_type = type;
+    cand.new_instance = true;
+    push(cand);
   }
   return candidates;
 }
@@ -475,6 +478,11 @@ AllocationOutcome Allocator::run(const std::vector<Cluster>& clusters,
     }
   };
   refresh_cluster_priorities();
+
+  // Candidate i is built in `trial` only to be evaluated; the best so far is
+  // swapped into `best_arch`, and the commit swaps that into state.arch, so
+  // no architecture is copy-constructed per candidate.
+  Architecture trial, best_arch;
 
   // Quality bar: a candidate must be no worse than the *baseline* — the
   // current architecture re-scheduled with the current priority levels.
@@ -560,16 +568,18 @@ AllocationOutcome Allocator::run(const std::vector<Cluster>& clusters,
       // scheduling pass (so the returned schedule still matches the
       // returned architecture) instead of exploring the whole array.
       if (i > 0 && !keep_going()) break;
-      ScheduleResult schedule = evaluate(candidates[i].arch, outcome);
-      const bool power_ok =
-          params_.power_cap_mw <= 0 ||
-          candidates[i].arch.power_mw() <= params_.power_cap_mw;
+      trial = state.arch;
+      materialize(trial, candidates[i], cluster, outcome.task_cluster);
+      ScheduleResult schedule = evaluate(trial, outcome);
+      const bool power_ok = params_.power_cap_mw <= 0 ||
+                            trial.power_mw() <= params_.power_cap_mw;
       if (power_ok &&
           schedule.placement_failures <= state.committed_failures &&
           schedule.total_tardiness <= state.committed_tardiness &&
           schedule.estimated_tardiness <= state.committed_estimate) {
         best = static_cast<int>(i);
         best_schedule = std::move(schedule);
+        std::swap(trial, best_arch);
         accepted = true;
         break;
       }
@@ -585,6 +595,7 @@ AllocationOutcome Allocator::run(const std::vector<Cluster>& clusters,
       if (better) {
         best = static_cast<int>(i);
         best_schedule = std::move(schedule);
+        std::swap(trial, best_arch);
       }
     }
     if (!accepted) {
@@ -607,7 +618,7 @@ AllocationOutcome Allocator::run(const std::vector<Cluster>& clusters,
     if (std::getenv("CRUSADE_DEBUG") && candidates[best].created_mode)
       std::fprintf(stderr, "[alloc] cluster %d -> new mode (graph %d)\n",  // check-allow(C004): stderr debug aid, dead unless CRUSADE_DEBUG is set
                    cluster.id, cluster.graph);
-    state.arch = std::move(candidates[best].arch);
+    std::swap(state.arch, best_arch);
     outcome.schedule = std::move(best_schedule);
     state.placed[pick] = 1;
 
@@ -680,7 +691,7 @@ int Allocator::evacuate_devices(AllocationOutcome& outcome,
         int chosen = -1;
         for (std::size_t i = 0; i < candidates.size(); ++i) {
           if (candidates[i].new_instance) continue;
-          if (candidates[i].arch.cluster_pe[c] == victim) continue;
+          if (candidates[i].pe == victim) continue;
           if (chosen < 0 ||
               candidates[i].delta_cost < candidates[chosen].delta_cost)
             chosen = static_cast<int>(i);
@@ -689,7 +700,8 @@ int Allocator::evacuate_devices(AllocationOutcome& outcome,
           all_placed = false;
           break;
         }
-        trial = std::move(candidates[chosen].arch);
+        materialize(trial, candidates[chosen], clusters[c],
+                    outcome.task_cluster);
       }
       if (!all_placed) continue;
       if (trial.cost().total() >= outcome.arch.cost().total()) continue;
@@ -798,6 +810,8 @@ void Allocator::repair(AllocationOutcome& outcome,
     outcome.schedule = std::move(schedule);
   }
 
+  // Buffers reused across offenders, as in run().
+  Architecture stripped, trial, best_arch;
   for (int pass = 0; pass < 4 && !outcome.schedule.feasible; ++pass) {
     // Clusters owning a failing or tardy task, worst first.
     std::vector<std::pair<TimeNs, int>> offenders;
@@ -849,7 +863,7 @@ void Allocator::repair(AllocationOutcome& outcome,
       const Cluster& cluster = clusters[cid];
       // Displaced by an earlier move this pass.
       if (outcome.arch.cluster_pe[cid] < 0) continue;
-      Architecture stripped = outcome.arch;
+      stripped = outcome.arch;
       unplace(stripped, cluster, clusters);
 
       std::vector<Candidate> candidates =
@@ -858,7 +872,9 @@ void Allocator::repair(AllocationOutcome& outcome,
       ScheduleResult best_schedule;
       for (std::size_t i = 0; i < candidates.size(); ++i) {
         if (!keep_going()) break;
-        ScheduleResult schedule = evaluate(candidates[i].arch, outcome);
+        trial = stripped;
+        materialize(trial, candidates[i], cluster, outcome.task_cluster);
+        ScheduleResult schedule = evaluate(trial, outcome);
         const bool better =
             best < 0 ||
             schedule.placement_failures <
@@ -871,6 +887,7 @@ void Allocator::repair(AllocationOutcome& outcome,
         if (better) {
           best = static_cast<int>(i);
           best_schedule = std::move(schedule);
+          std::swap(trial, best_arch);
         }
         if (best_schedule.feasible) break;
       }
@@ -885,7 +902,7 @@ void Allocator::repair(AllocationOutcome& outcome,
       // outcome.arch is only replaced on acceptance; rejecting a move needs
       // no undo because all work happened on copies.
       if (strictly_better) {
-        outcome.arch = std::move(candidates[best].arch);
+        std::swap(outcome.arch, best_arch);
         outcome.schedule = std::move(best_schedule);
         ++stats().repair_moves;
         improved = true;

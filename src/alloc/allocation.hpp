@@ -208,8 +208,12 @@ class Allocator {
            params_.pruned_link_types[type] != 0;
   }
 
+  /// One allocation-array entry: a placement of the cluster on the
+  /// architecture it was enumerated from, not a built architecture.
   struct Candidate {
-    Architecture arch;     ///< architecture with the placement applied
+    int pe = -1;    ///< target PE instance (a fresh one gets this id)
+    int mode = 0;   ///< target mode; the PE's mode count opens a new one
+    PeTypeId new_type = -1;  ///< type of the fresh PE when new_instance
     double delta_cost = 0;
     double preference = 0;
     bool created_mode = false;
@@ -221,13 +225,17 @@ class Allocator {
     int compat_waste = 0;
   };
 
+  /// The allocation array of `cluster` on `arch`, unordered.  Each entry is
+  /// costed by applying it to `scratch_`.
   std::vector<Candidate> enumerate(const Architecture& arch,
                                    const Cluster& cluster,
-                                   const std::vector<int>& task_cluster) const;
-  /// Applies placement + link wiring on a copy; returns false if wiring is
-  /// impossible (link library exhausted for the topology).
-  bool apply(Architecture& arch, const Cluster& cluster, int pe, int mode,
-             const std::vector<int>& task_cluster) const;
+                                   const std::vector<int>& task_cluster);
+  /// Applies `cand` in place to the architecture it was enumerated from (or
+  /// an equal one): the fresh PE if it buys one, the placement, and the
+  /// link wiring of its boundary edges.
+  void materialize(Architecture& arch, const Candidate& cand,
+                   const Cluster& cluster,
+                   const std::vector<int>& task_cluster) const;
   bool exclusion_clash(const Architecture& arch, const Cluster& cluster,
                        int pe, const std::vector<int>& task_cluster) const;
   /// Reverses a placement (capacity bookkeeping + boundary edge links).
@@ -275,6 +283,9 @@ class Allocator {
   /// during allocation; post-allocation moves (repair, evacuation) may pack
   /// freely — contamination can no longer block a future mode.
   bool relax_fpga_purity_ = false;
+  /// enumerate()'s costing buffer: copy-assigned from the base architecture
+  /// before each placement, so its vectors keep their capacity.
+  Architecture scratch_;
   RunStats own_stats_;  ///< the tally when AllocParams::stats is null
   bool budget_exhausted_ = false;
   bool stopped_ = false;

@@ -39,11 +39,4 @@ TimeNs min_shift_to_avoid(const PeriodicWindow& a, const PeriodicWindow& b) {
   return d > 0 ? d : 0;
 }
 
-bool overlaps_any(const PeriodicWindow& a,
-                  const std::vector<PeriodicWindow>& others) {
-  for (const auto& w : others)
-    if (periodic_overlap(a, w)) return true;
-  return false;
-}
-
 }  // namespace crusade

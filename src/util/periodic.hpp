@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "util/time.hpp"
 
@@ -39,9 +38,5 @@ bool periodic_overlap(const PeriodicWindow& a, const PeriodicWindow& b);
 /// does not overlap `b`; returns kNoTime if no shift within one period of
 /// `a` resolves the conflict (the windows collide at every phase).
 TimeNs min_shift_to_avoid(const PeriodicWindow& a, const PeriodicWindow& b);
-
-/// True iff window `a` overlaps any window in `others`.
-bool overlaps_any(const PeriodicWindow& a,
-                  const std::vector<PeriodicWindow>& others);
 
 }  // namespace crusade

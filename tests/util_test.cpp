@@ -135,12 +135,6 @@ TEST(Periodic, MinShiftImpossibleWhenWindowsFillPeriod) {
   EXPECT_EQ(min_shift_to_avoid({0, 30, 50}, {0, 25, 50}), kNoTime);
 }
 
-TEST(Periodic, OverlapsAny) {
-  std::vector<PeriodicWindow> set = {{0, 10, 100}, {50, 60, 100}};
-  EXPECT_TRUE(overlaps_any({55, 58, 100}, set));
-  EXPECT_FALSE(overlaps_any({20, 30, 100}, set));
-}
-
 // --- RNG ---
 
 TEST(Rng, DeterministicPerSeed) {
