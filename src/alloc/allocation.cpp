@@ -1,13 +1,22 @@
 #include "alloc/allocation.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
+#include "fpga/delay.hpp"
 #include "obs/obs.hpp"
 #include "util/error.hpp"
 
 namespace crusade {
+
+namespace {
+
+/// Allocation-array prune: how many of the cheapest candidates the
+/// constructive loop evaluates per cluster (§5).
+constexpr int kMaxCandidates = 10;
+/// Device-evacuation passes after constructive allocation.
+constexpr int kEvacuationPasses = 2;
+
+}  // namespace
 
 SchedProblem make_sched_problem(const Architecture& arch, const FlatSpec& flat,
                                 const std::vector<int>& task_cluster,
@@ -112,8 +121,6 @@ Allocator::Allocator(const FlatSpec& flat, const ResourceLibrary& lib,
       params_(std::move(params)),
       default_task_time_(default_task_times(flat, lib)),
       default_edge_time_(default_edge_times(flat, lib)) {
-  CRUSADE_REQUIRE(!params_.use_modes || compat_ != nullptr,
-                  "mode-aware allocation needs compatibility vectors");
   sched_levels_ = priority_levels(flat_, default_task_time_,
                                   default_edge_time_);
   optimistic_exec_.assign(flat_.task_count(), 0);
@@ -336,8 +343,7 @@ std::vector<Allocator::Candidate> Allocator::enumerate(
         // fragmentation this causes is recovered by the device-evacuation
         // pass.  CPLDs (no run-time reconfiguration) pack freely, as do all
         // PPEs when modes are off.
-        const bool per_graph_fpga = params_.use_modes &&
-                                    type.kind == PeKind::Fpga &&
+        const bool per_graph_fpga = compat_ && type.kind == PeKind::Fpga &&
                                     !relax_fpga_purity_;
         for (int m = 0; m < static_cast<int>(inst.modes.size()); ++m) {
           const Mode& mode = inst.modes[m];
@@ -347,12 +353,12 @@ std::vector<Allocator::Candidate> Allocator::enumerate(
           // Correctness on multi-mode devices: a resident of mode m only
           // executes while m is configured, so its graph must never need to
           // run concurrently with any OTHER mode's graphs.  When reboots
-          // live in the schedule the device may reconfigure mid-hyperperiod
-          // and one graph can straddle modes (the scheduler prices the
-          // switches); under spec-declared mode-exclusive semantics no
-          // reboot is ever charged, so a graph split across modes would
-          // demand two configurations at once — never allow it there (the
-          // compatibility diagonal is fixed incompatible).
+          // live in the schedule (null compat_) the device may reconfigure
+          // mid-hyperperiod and one graph can straddle modes (the scheduler
+          // prices the switches); under spec-declared mode-exclusive
+          // semantics no reboot is ever charged, so a graph split across
+          // modes would demand two configurations at once — never allow it
+          // there (the compatibility diagonal is fixed incompatible).
           if (inst.modes.size() > 1) {
             bool exclusive = true;
             for (int m2 = 0;
@@ -360,8 +366,7 @@ std::vector<Allocator::Candidate> Allocator::enumerate(
                  ++m2) {
               if (m2 == m) continue;
               for (int g : inst.modes[m2].graphs) {
-                if (g == cluster.graph && params_.reboots_in_schedule)
-                  continue;
+                if (g == cluster.graph && !compat_) continue;
                 if (!compat_ || !compat_->compatible(cluster.graph, g))
                   exclusive = false;
               }
@@ -369,10 +374,10 @@ std::vector<Allocator::Candidate> Allocator::enumerate(
             if (!exclusive) continue;
           }
           if (mode.pfus_used + cluster.pfus >
-              params_.delay.usable_pfus(type.pfus))
+              DelayManagement{}.usable_pfus(type.pfus))
             continue;
           if (mode.pins_used + cluster.pins >
-              params_.delay.usable_pins(type.pins))
+              DelayManagement{}.usable_pins(type.pins))
             continue;
           try_existing(pe, m, false);
           candidates.back().compat_waste = waste;
@@ -383,9 +388,8 @@ std::vector<Allocator::Candidate> Allocator::enumerate(
         // other mode of the device.  Run-time reconfiguration is an SRAM
         // FPGA capability; EEPROM CPLDs reprogram far too slowly and only
         // take field upgrades (§4.4).
-        if (params_.use_modes && compat_ && type.kind == PeKind::Fpga &&
-            static_cast<int>(inst.modes.size()) <
-                params_.max_modes_per_device) {
+        if (compat_ && type.kind == PeKind::Fpga &&
+            static_cast<int>(inst.modes.size()) < kMaxModesPerDevice) {
           bool compatible = true;
           for (const Mode& m : inst.modes)
             for (int g : m.graphs)
@@ -529,23 +533,21 @@ AllocationOutcome Allocator::run(const std::vector<Cluster>& clusters,
     // Prune to the cheapest few, but never prune away every fresh-instance
     // candidate: a new PE is the interference-free escape hatch when all
     // existing resources are saturated.
-    if (static_cast<int>(candidates.size()) > params_.max_candidates) {
+    if (static_cast<int>(candidates.size()) > kMaxCandidates) {
       std::vector<Candidate> kept;
-      kept.reserve(params_.max_candidates);
+      kept.reserve(kMaxCandidates);
       const int reserved_new = 3;
       int new_kept = 0;
       for (auto& cand : candidates) {
         const bool room_general =
-            static_cast<int>(kept.size()) <
-            params_.max_candidates - reserved_new;
+            static_cast<int>(kept.size()) < kMaxCandidates - reserved_new;
         const bool room_new = cand.new_instance && new_kept < reserved_new &&
-                              static_cast<int>(kept.size()) <
-                                  params_.max_candidates;
+                              static_cast<int>(kept.size()) < kMaxCandidates;
         if (room_general || room_new) {
           if (cand.new_instance) ++new_kept;
           kept.push_back(std::move(cand));
         }
-        if (static_cast<int>(kept.size()) >= params_.max_candidates &&
+        if (static_cast<int>(kept.size()) >= kMaxCandidates &&
             new_kept >= reserved_new)
           break;
       }
@@ -598,26 +600,7 @@ AllocationOutcome Allocator::run(const std::vector<Cluster>& clusters,
         std::swap(trial, best_arch);
       }
     }
-    if (!accepted) {
-      ++state.clusters_with_misses;
-      if (std::getenv("CRUSADE_DEBUG"))
-        std::fprintf(  // check-allow(C004): stderr debug aid, dead unless CRUSADE_DEBUG is set
-            stderr,
-            "[alloc] cluster %d (graph %d, %zu tasks) committed dirty: "
-            "best(tard=%lld est=%lld fail=%d) vs base(tard=%lld est=%lld "
-            "fail=%d) over %zu candidates\n",
-            cluster.id, cluster.graph, cluster.tasks.size(),
-            static_cast<long long>(best_schedule.total_tardiness),
-            static_cast<long long>(best_schedule.estimated_tardiness),
-            best_schedule.placement_failures,
-            static_cast<long long>(state.committed_tardiness),
-            static_cast<long long>(state.committed_estimate),
-            state.committed_failures,
-            candidates.size());
-    }
-    if (std::getenv("CRUSADE_DEBUG") && candidates[best].created_mode)
-      std::fprintf(stderr, "[alloc] cluster %d -> new mode (graph %d)\n",  // check-allow(C004): stderr debug aid, dead unless CRUSADE_DEBUG is set
-                   cluster.id, cluster.graph);
+    if (!accepted) ++state.clusters_with_misses;
     std::swap(state.arch, best_arch);
     outcome.schedule = std::move(best_schedule);
     state.placed[pick] = 1;
@@ -647,7 +630,7 @@ ScheduleResult Allocator::schedule_architecture(
     const ScheduleResult* base) {
   SchedProblem problem =
       make_sched_problem(arch, flat_, task_cluster, params_.boot_estimate,
-                         params_.reboots_in_schedule);
+                         /*reboots_in_schedule=*/!compat_);
   problem.task_optimistic = &optimistic_exec_;
   ++stats().sched_invocations;
   ++stats().finish_estimates;
@@ -655,12 +638,11 @@ ScheduleResult Allocator::schedule_architecture(
 }
 
 int Allocator::evacuate_devices(AllocationOutcome& outcome,
-                                const std::vector<Cluster>& clusters,
-                                int max_passes) {
+                                const std::vector<Cluster>& clusters) {
   OBS_SPAN("alloc.evacuate");
   relax_fpga_purity_ = true;
   int emptied = 0;
-  for (int pass = 0; pass < max_passes; ++pass) {
+  for (int pass = 0; pass < kEvacuationPasses; ++pass) {
     bool improved = false;
     for (int victim = 0; victim < static_cast<int>(outcome.arch.pes.size());
          ++victim) {
@@ -799,10 +781,6 @@ void Allocator::repair(AllocationOutcome& outcome,
     if (rewired_count == 0) break;
     if (!keep_going()) break;
     ScheduleResult schedule = evaluate(trial, outcome);
-    if (std::getenv("CRUSADE_DEBUG"))
-      std::fprintf(stderr, "[rewire] batch of %d: fail %d->%d\n",  // check-allow(C004): stderr debug aid, dead unless CRUSADE_DEBUG is set
-                   rewired_count, outcome.schedule.placement_failures,
-                   schedule.placement_failures);
     if (schedule.placement_failures >= outcome.schedule.placement_failures &&
         schedule.total_tardiness >= outcome.schedule.total_tardiness)
       break;

@@ -45,18 +45,12 @@ using AllocProgressHook = std::function<void(const AllocState&)>;
 /// it must load; provided by interface synthesis (§4.4).  Null = boot-free.
 using BootEstimator = std::function<TimeNs(const PeType&, int pfus_in_mode)>;
 
+/// Most reconfiguration modes one FPGA holds, whether allocation opens them
+/// (§4.2) or the merge loop folds them together (§4.1).
+inline constexpr int kMaxModesPerDevice = 8;
+
 struct AllocParams {
-  DelayManagement delay;
-  /// Allocation-array prune: how many cheapest candidates to evaluate.
-  int max_candidates = 10;
-  /// Allow multi-mode placements driven by the specification's
-  /// compatibility vectors during allocation (§4.2).
-  bool use_modes = false;
-  int max_modes_per_device = 8;
   BootEstimator boot_estimate;
-  /// See make_sched_problem: false when the specification's compatibility
-  /// vectors declare rare mode-exclusive system modes.
-  bool reboots_in_schedule = true;
   /// Optional power budget in milliwatts (extension; 0 = unconstrained):
   /// candidates pushing the architecture's typical draw past the cap are
   /// only taken when nothing under the cap meets the deadlines.
@@ -155,6 +149,11 @@ PriorityLevels scheduling_levels(const FlatSpec& flat,
 
 class Allocator {
  public:
+  /// `compat` selects the reconfiguration semantics.  Non-null: mode-aware
+  /// allocation driven by the specification's compatibility vectors (§4.2),
+  /// with reconfiguration charged to the boot-time requirement.  Null: one
+  /// mode per device, with reboots in the frame schedule (see
+  /// make_sched_problem).
   Allocator(const FlatSpec& flat, const ResourceLibrary& lib,
             const CompatibilityMatrix* compat, AllocParams params);
 
@@ -193,8 +192,7 @@ class Allocator {
   /// cheaper home dies and its cost is saved.  Recovers the fragmentation
   /// left by greedy constructive allocation.  Returns devices emptied.
   int evacuate_devices(AllocationOutcome& outcome,
-                       const std::vector<Cluster>& clusters,
-                       int max_passes = 2);
+                       const std::vector<Cluster>& clusters);
 
  private:
   bool pe_type_pruned(PeTypeId type) const {

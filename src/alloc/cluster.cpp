@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "fpga/delay.hpp"
 #include "obs/obs.hpp"
 #include "util/error.hpp"
 
@@ -23,8 +24,10 @@ struct Accumulator {
   }
 };
 
-bool fits_type(const Accumulator& acc, int count, const PeType& type,
-               const DelayManagement& delay) {
+/// Capacity pre-check of a member set on an empty instance of `type`, with
+/// the §4.5 ERUF/EPUF caps on PPEs.
+bool fits_type(const Accumulator& acc, const PeType& type) {
+  const DelayManagement delay{};
   switch (type.kind) {
     case PeKind::Cpu:
       return acc.memory <= type.memory_bytes;
@@ -35,15 +38,13 @@ bool fits_type(const Accumulator& acc, int count, const PeType& type,
       return acc.pfus <= delay.usable_pfus(type.pfus) &&
              acc.pins <= delay.usable_pins(type.pins);
   }
-  (void)count;
   return false;
 }
 
 /// Feasible-and-fits mask over PE types for a given member set.
 std::vector<char> feasibility_mask(const std::vector<int>& tasks,
                                    const FlatSpec& flat,
-                                   const ResourceLibrary& lib,
-                                   const DelayManagement& delay) {
+                                   const ResourceLibrary& lib) {
   std::vector<char> mask(lib.pe_count(), 1);
   Accumulator acc;
   for (int tid : tasks) acc.add(flat.task(tid));
@@ -53,9 +54,7 @@ std::vector<char> feasibility_mask(const std::vector<int>& tasks,
         mask[pe] = 0;
         break;
       }
-    if (mask[pe] && !fits_type(acc, static_cast<int>(tasks.size()),
-                               lib.pe(pe), delay))
-      mask[pe] = 0;
+    if (mask[pe] && !fits_type(acc, lib.pe(pe))) mask[pe] = 0;
   }
   return mask;
 }
@@ -104,7 +103,7 @@ std::vector<Cluster> cluster_tasks(const FlatSpec& flat,
     c.gates = acc.gates;
     c.pfus = acc.pfus;
     c.pins = acc.pins;
-    c.feasible_pe = feasibility_mask(c.tasks, flat, lib, params.delay);
+    c.feasible_pe = feasibility_mask(c.tasks, flat, lib);
     double prio = -1e30;
     for (int tid : c.tasks) prio = std::max(prio, levels.task[tid]);
     for (int tid : c.tasks)
@@ -150,7 +149,7 @@ std::vector<Cluster> cluster_tasks(const FlatSpec& flat,
 
     // Grow along the highest-priority eligible fan-out (the critical path).
     int cur = seed;
-    while (static_cast<int>(c.tasks.size()) < params.max_cluster_size) {
+    while (static_cast<int>(c.tasks.size()) < kMaxClusterSize) {
       int best = -1;
       int best_eid = -1;
       for (int eid : flat.out_edges(cur)) {
@@ -159,7 +158,7 @@ std::vector<Cluster> cluster_tasks(const FlatSpec& flat,
         if (excluded(c.tasks, dst)) continue;
         std::vector<int> trial = c.tasks;
         trial.push_back(dst);
-        if (!any(feasibility_mask(trial, flat, lib, params.delay))) continue;
+        if (!any(feasibility_mask(trial, flat, lib))) continue;
         if (best < 0 || levels.task[dst] > levels.task[best]) {
           best = dst;
           best_eid = eid;

@@ -10,7 +10,6 @@
 
 #include <vector>
 
-#include "fpga/delay.hpp"
 #include "resources/resource_library.hpp"
 #include "sched/flat.hpp"
 #include "sched/priority.hpp"
@@ -36,10 +35,10 @@ struct Cluster {
   std::vector<double> preference;
 };
 
+/// Most tasks one cluster grows to along its critical path.
+inline constexpr int kMaxClusterSize = 8;
+
 struct ClusteringParams {
-  int max_cluster_size = 8;
-  /// Delay-management caps applied when sizing clusters for PPEs (§4.5).
-  DelayManagement delay;
   /// Disable to measure the un-clustered baseline (ablation A1): every task
   /// becomes its own cluster.
   bool enabled = true;

@@ -34,8 +34,9 @@ namespace crusade::ckpt {
 /// Bumped whenever the payload layout changes; old files are rejected with
 /// a version error rather than misread.  Version 2 embeds the allocation
 /// state as one AllocState and carries the evaluation tally only in
-/// `stats`.
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+/// `stats`; version 3 drops the merge report's always-zero
+/// `rejected_apply`.
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 /// Which phase of the pipeline the checkpoint state belongs to.
 enum class Stage : std::uint8_t {

@@ -250,7 +250,6 @@ RunStats read_run_stats(BinReader& r) {
 void write_merge_report(BinWriter& w, const MergeReport& m) {
   w.i32(m.merges_tried);
   w.i32(m.merges_accepted);
-  w.i32(m.rejected_apply);
   w.i32(m.rejected_cost);
   w.i32(m.rejected_schedule);
   w.i32(m.rejected_validator);
@@ -269,7 +268,6 @@ MergeReport read_merge_report(BinReader& r) {
   MergeReport m;
   m.merges_tried = r.i32();
   m.merges_accepted = r.i32();
-  m.rejected_apply = r.i32();
   m.rejected_cost = r.i32();
   m.rejected_schedule = r.i32();
   m.rejected_validator = r.i32();

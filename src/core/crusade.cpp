@@ -63,24 +63,12 @@ std::uint64_t Crusade::fingerprint(const Specification& spec,
   ckpt::BinWriter w;
   w.str(text.str());
   w.u8(params.enable_reconfig ? 1 : 0);
-  w.u8(params.use_spec_compatibility ? 1 : 0);
   w.u8(params.preflight ? 1 : 0);
   w.u8(params.preflight_prune ? 1 : 0);
   w.u8(params.clustering.enabled ? 1 : 0);
-  w.i32(params.clustering.max_cluster_size);
-  w.f64(params.clustering.delay.eruf);
-  w.f64(params.clustering.delay.epuf);
-  w.f64(params.alloc.delay.eruf);
-  w.f64(params.alloc.delay.epuf);
-  w.i32(params.alloc.max_candidates);
-  w.i32(params.alloc.max_modes_per_device);
-  w.u8(params.alloc.allow_new_pes ? 1 : 0);
-  w.f64(params.alloc.power_cap_mw);
-  w.i32(params.alloc.max_iterations);
-  w.i32(params.merge.max_passes);
-  w.i32(params.merge.max_modes_per_device);
-  w.i32(params.merge.budget);
-  w.u8(params.merge.consolidate_modes ? 1 : 0);
+  w.f64(params.power_cap_mw);
+  w.i32(params.max_iterations);
+  w.i32(params.merge_budget);
   return ckpt::fnv1a(w.bytes());
 }
 
@@ -182,51 +170,48 @@ CrusadeResult Crusade::run() {
   result.stats.clusters = static_cast<std::int64_t>(result.clusters.size());
 
   // --- synthesis: cluster allocation (§5) ---
-  AllocParams alloc_params = params_.alloc;
+  // Spec-declared compatibility makes allocation mode-aware (§4.2) and
+  // means rare mode-exclusive system modes: reconfiguration is charged to
+  // the boot-time requirement, not the frame schedule (see
+  // make_sched_problem).  The allocator derives both from the pointer.
+  const CompatibilityMatrix* declared_compat =
+      params_.enable_reconfig && spec_.compatibility ? &*spec_.compatibility
+                                                     : nullptr;
+  const bool reboots_in_schedule = declared_compat == nullptr;
+  AllocParams alloc_params;
+  alloc_params.boot_estimate = estimate_boot_time;
+  alloc_params.power_cap_mw = params_.power_cap_mw;
+  alloc_params.max_iterations = params_.max_iterations;
   if (params_.preflight && params_.preflight_prune) {
     alloc_params.pruned_pe_types = result.preflight.dominated_pes;
     alloc_params.pruned_link_types = result.preflight.dominated_links;
   }
-  if (!alloc_params.boot_estimate)
-    alloc_params.boot_estimate = [](const PeType& type, int pfus) {
-      return estimate_boot_time(type, pfus);
-    };
-  const bool modes_in_allocation = params_.enable_reconfig &&
-                                   params_.use_spec_compatibility &&
-                                   spec_.compatibility.has_value();
-  alloc_params.use_modes = modes_in_allocation;
-  // Spec-declared compatibility = rare mode-exclusive system modes:
-  // reconfiguration is charged to the boot-time requirement, not the frame
-  // schedule (see make_sched_problem).
-  alloc_params.reboots_in_schedule = !modes_in_allocation;
   alloc_params.control = params_.control;
   // The run's RunStats is the allocator's tally: a resume seeded it with the
   // pre-crash counts above, so the evaluation budget continues too.
   alloc_params.stats = &result.stats;
 
   std::int64_t last_ckpt_evals = result.stats.sched_evals;
-  if (checkpointing) {
-    alloc_params.progress_hook = [&](const AllocState& state) {
-      // Wrap-up commits after the anytime control fired are off the
-      // uninterrupted trajectory — never persist them; the last checkpoint
-      // on disk stays a state the full search really passes through.
-      if (params_.control && params_.control->triggered()) return;
-      if (result.stats.sched_evals - last_ckpt_evals <
-          params_.checkpoint.every_evals)
-        return;
-      last_ckpt_evals = result.stats.sched_evals;
-      ckpt::Checkpoint c;
-      c.stage = ckpt::Stage::Allocation;
-      c.spec_hash = spec_hash;
-      c.alloc = state;
-      c.stats = snapshot_stats(&RunStats::allocation_seconds);
-      write_checkpoint(c);
-    };
-  }
+  alloc_params.progress_hook = [&](const AllocState& state) {
+    if (params_.progress_hook) params_.progress_hook(state);
+    if (!checkpointing) return;
+    // Wrap-up commits after the anytime control fired are off the
+    // uninterrupted trajectory — never persist them; the last checkpoint
+    // on disk stays a state the full search really passes through.
+    if (params_.control && params_.control->triggered()) return;
+    if (result.stats.sched_evals - last_ckpt_evals <
+        params_.checkpoint.every_evals)
+      return;
+    last_ckpt_evals = result.stats.sched_evals;
+    ckpt::Checkpoint c;
+    c.stage = ckpt::Stage::Allocation;
+    c.spec_hash = spec_hash;
+    c.alloc = state;
+    c.stats = snapshot_stats(&RunStats::allocation_seconds);
+    write_checkpoint(c);
+  };
 
-  Allocator allocator(flat, lib_,
-                      modes_in_allocation ? &*spec_.compatibility : nullptr,
-                      alloc_params);
+  Allocator allocator(flat, lib_, declared_compat, alloc_params);
   // A checkpoint taken past allocation resumes AFTER repair + evacuation:
   // re-running them on the already-evacuated architecture would leave the
   // uninterrupted trajectory.  The schedule was never serialized (it is a
@@ -266,16 +251,15 @@ CrusadeResult Crusade::run() {
   // --- dynamic reconfiguration generation (§4.1–4.4, Figure 3) ---
   if (params_.enable_reconfig) {
     OBS_SPAN("phase.reconfig");
-    if (spec_.compatibility && params_.use_spec_compatibility)
-      result.compat = *spec_.compatibility;
+    if (declared_compat)
+      result.compat = *declared_compat;
     else
       result.compat = derive_compatibility(flat, result.schedule);
 
-    MergeParams merge_params = params_.merge;
-    if (!merge_params.boot_estimate)
-      merge_params.boot_estimate = alloc_params.boot_estimate;
-    merge_params.delay = params_.alloc.delay;
-    merge_params.reboots_in_schedule = alloc_params.reboots_in_schedule;
+    MergeParams merge_params;
+    merge_params.boot_estimate = alloc_params.boot_estimate;
+    merge_params.reboots_in_schedule = reboots_in_schedule;
+    merge_params.budget = params_.merge_budget;
     merge_params.control = params_.control;
 
     if (resume && resume->stage == ckpt::Stage::Merge)
@@ -309,8 +293,7 @@ CrusadeResult Crusade::run() {
   result.stats.reconfig_seconds += clock.lap();
   result.stats.merges_tried = result.merge_report.merges_tried;
   result.stats.merges_accepted = result.merge_report.merges_accepted;
-  result.stats.merges_rejected_cost = result.merge_report.rejected_cost +
-                                      result.merge_report.rejected_apply;
+  result.stats.merges_rejected_cost = result.merge_report.rejected_cost;
   result.stats.merges_rejected_schedule =
       result.merge_report.rejected_schedule;
   result.stats.merges_rejected_validator =
@@ -351,8 +334,7 @@ CrusadeResult Crusade::run() {
       ++result.stats.sched_invocations;
       SchedProblem problem =
           make_sched_problem(a, flat, result.task_cluster,
-                             /*boot_estimate=*/{},
-                             alloc_params.reboots_in_schedule);
+                             /*boot_estimate=*/{}, reboots_in_schedule);
       return run_list_scheduler(problem, sched_levels);
     };
 
@@ -457,7 +439,7 @@ CrusadeResult Crusade::run() {
     vin.task_cluster = &result.task_cluster;
     vin.compat = &result.compat;
     vin.boot_time_requirement = spec_.boot_time_requirement;
-    vin.reboots_in_schedule = alloc_params.reboots_in_schedule;
+    vin.reboots_in_schedule = reboots_in_schedule;
     vin.claimed_feasible = result.feasible;
     vin.claimed_boot_ok = result.interface_choice.meets_requirement;
     vin.reported_cost = &result.cost;

@@ -44,17 +44,28 @@ struct CheckpointPolicy {
   bool enabled() const { return !path.empty() || static_cast<bool>(on_write); }
 };
 
+/// What a caller sets.  run() builds the allocator's and the merge loop's
+/// parameters from it; the search's constants (ERUF/EPUF, allocation-array
+/// size, mode and cluster caps, pass counts) live at their use.
+/// Compatibility vectors supplied with the specification drive mode-aware
+/// allocation (§4.2); without them, compatibility is derived from the
+/// schedule (Figure 3) before merging.
 struct CrusadeParams {
   /// Master switch for dynamic reconfiguration (the "without" columns of
   /// Tables 2–3 set this false: every programmable device keeps one mode).
   bool enable_reconfig = true;
   ClusteringParams clustering;
-  AllocParams alloc;
-  MergeParams merge;
-  /// Honour compatibility vectors supplied with the specification during
-  /// allocation (§4.2); when the specification has none, compatibility is
-  /// derived from the schedule (Figure 3) before merging.
-  bool use_spec_compatibility = true;
+  /// Optional power budget in milliwatts (AllocParams::power_cap_mw;
+  /// 0 = unconstrained).
+  double power_cap_mw = 0;
+  /// Graceful-degradation budgets (0 = unlimited): schedule evaluations
+  /// across allocation, repair and evacuation (AllocParams::max_iterations),
+  /// and reschedules in the merge loop (MergeParams::budget).
+  int max_iterations = 0;
+  int merge_budget = 0;
+  /// Called after every committed whole-cluster placement (see
+  /// AllocParams::progress_hook), before the checkpoint writer runs.
+  AllocProgressHook progress_hook;
   /// Hook consulted on every tentative merge (CRUSADE-FT dependability).
   MergeValidator merge_validator;
   /// Run the independent validator on the final architecture and never
@@ -106,7 +117,7 @@ struct CrusadeResult {
   /// counted by this run alone whether or not tracing is on.
   /// stats.total_seconds is the whole run's wall time; stats.sched_evals is
   /// the allocator's schedule-evaluation tally (the budget
-  /// AllocParams::max_iterations caps).
+  /// CrusadeParams::max_iterations caps).
   RunStats stats;
   /// Independent re-verification of the result (CrusadeParams::self_check).
   /// When the validator finds a schedule-level violation in a result the
@@ -137,7 +148,9 @@ class Crusade {
   CrusadeResult run();
 
   /// FNV-1a fingerprint of the canonical specification text plus every
-  /// search-shaping parameter: two runs with equal fingerprints perform the
+  /// search-shaping parameter (enable_reconfig, clustering.enabled,
+  /// power_cap_mw, max_iterations, merge_budget, preflight,
+  /// preflight_prune): two runs with equal fingerprints perform the
   /// identical search, which is what licenses resuming one from the other's
   /// checkpoint (ckpt::check_spec_hash).
   static std::uint64_t fingerprint(const Specification& spec,

@@ -17,20 +17,17 @@ FieldUpgradeResult try_field_upgrade(const Specification& new_spec,
   result.task_cluster =
       task_to_cluster(result.clusters, flat.task_count());
 
-  AllocParams alloc_params = params.alloc;
+  AllocParams alloc_params;
+  alloc_params.boot_estimate = estimate_boot_time;
+  alloc_params.power_cap_mw = params.power_cap_mw;
+  alloc_params.max_iterations = params.max_iterations;
   alloc_params.allow_new_pes = false;  // the board is what it is
-  alloc_params.use_modes = params.enable_reconfig &&
-                           new_spec.compatibility.has_value();
-  alloc_params.reboots_in_schedule = !alloc_params.use_modes;
-  if (!alloc_params.boot_estimate)
-    alloc_params.boot_estimate = [](const PeType& type, int pfus) {
-      return estimate_boot_time(type, pfus);
-    };
 
-  Allocator allocator(
-      flat, lib,
-      alloc_params.use_modes ? &*new_spec.compatibility : nullptr,
-      alloc_params);
+  Allocator allocator(flat, lib,
+                      params.enable_reconfig && new_spec.compatibility
+                          ? &*new_spec.compatibility
+                          : nullptr,
+                      alloc_params);
   AllocationOutcome outcome = allocator.run(result.clusters, &deployed);
 
   result.arch = std::move(outcome.arch);

@@ -2,12 +2,16 @@
 
 #include <algorithm>
 
+#include "fpga/delay.hpp"
 #include "obs/obs.hpp"
 #include "util/error.hpp"
 
 namespace crusade {
 
 namespace {
+
+/// Merge-loop passes at most (each rebuilds the merge array, §4.1).
+constexpr int kMaxMergePasses = 8;
 
 int merge_potential(const Architecture& arch) {
   return arch.ppe_count() + arch.live_link_count();
@@ -37,8 +41,7 @@ std::vector<int> instance_tasks(const Architecture& arch, int pe,
 /// Quick feasibility screen for folding src's modes into dst.
 bool merge_screen(const Architecture& arch, int src, int dst,
                   const CompatibilityMatrix& compat, const FlatSpec& flat,
-                  const std::vector<int>& task_cluster,
-                  const MergeParams& params) {
+                  const std::vector<int>& task_cluster) {
   const PeInstance& s = arch.pes[src];
   const PeInstance& d = arch.pes[dst];
   const PeType& dtype = arch.lib().pe(d.type);
@@ -46,8 +49,7 @@ bool merge_screen(const Architecture& arch, int src, int dst,
   // their single configuration.
   if (dtype.kind != PeKind::Fpga) return false;
   if (arch.lib().pe(s.type).kind != PeKind::Fpga) return false;
-  if (static_cast<int>(s.modes.size() + d.modes.size()) >
-      params.max_modes_per_device)
+  if (static_cast<int>(s.modes.size() + d.modes.size()) > kMaxModesPerDevice)
     return false;
   // Cross-compatibility: every src-mode graph vs every dst-mode graph.
   for (int gs : instance_graphs(s))
@@ -55,8 +57,8 @@ bool merge_screen(const Architecture& arch, int src, int dst,
       if (!compat.compatible(gs, gd)) return false;
   // Capacity: each src mode must fit the dst device under ERUF/EPUF.
   for (const Mode& m : s.modes) {
-    if (m.pfus_used > params.delay.usable_pfus(dtype.pfus)) return false;
-    if (m.pins_used > params.delay.usable_pins(dtype.pins)) return false;
+    if (m.pfus_used > DelayManagement{}.usable_pfus(dtype.pfus)) return false;
+    if (m.pins_used > DelayManagement{}.usable_pins(dtype.pins)) return false;
   }
   // Execution feasibility of every moved task on the dst type.
   for (int tid : instance_tasks(arch, src, task_cluster))
@@ -65,9 +67,8 @@ bool merge_screen(const Architecture& arch, int src, int dst,
 }
 
 /// Folds src's modes into dst on `arch` (caller works on a copy), rewiring
-/// links and collapsing now-internal edges.  Returns false when the link
-/// topology cannot be preserved.
-bool apply_merge(Architecture& arch, int src, int dst, const FlatSpec& flat,
+/// links and collapsing now-internal edges.
+void apply_merge(Architecture& arch, int src, int dst, const FlatSpec& flat,
                  const std::vector<int>& task_cluster) {
   PeInstance& s = arch.pes[src];
   PeInstance& d = arch.pes[dst];
@@ -92,13 +93,10 @@ bool apply_merge(Architecture& arch, int src, int dst, const FlatSpec& flat,
     LinkInstance& link = arch.links[l];
     auto it = std::find(link.attached.begin(), link.attached.end(), src);
     if (it == link.attached.end()) continue;
-    if (link.is_attached(dst)) {
+    if (link.is_attached(dst))
       link.attached.erase(it);  // both endpoints now dst: drop the src port
-    } else {
-      const LinkType& type = arch.lib().link(link.type);
-      (void)type;
+    else
       *it = dst;  // same port, new owner
-    }
   }
 
   // Edges whose endpoints now share the PE become internal; all other edges
@@ -116,13 +114,12 @@ bool apply_merge(Architecture& arch, int src, int dst, const FlatSpec& flat,
     if (link.ports() >= 2) continue;
     link.attached.clear();
   }
-  return true;
 }
 
 /// Attempts to combine pairs of modes within each multi-mode device when
 /// the union fits one configuration (§4.2: "we try to combine C1, C2 and C3
 /// in the same FPGA mode if there exist sufficient resources").
-int consolidate(Architecture& arch, const MergeParams& params) {
+int consolidate(Architecture& arch) {
   int combined = 0;
   for (PeInstance& inst : arch.pes) {
     if (!inst.alive()) continue;
@@ -136,10 +133,10 @@ int consolidate(Architecture& arch, const MergeParams& params) {
           Mode& ma = inst.modes[a];
           Mode& mb = inst.modes[b];
           if (ma.pfus_used + mb.pfus_used >
-              params.delay.usable_pfus(type.pfus))
+              DelayManagement{}.usable_pfus(type.pfus))
             continue;
           if (ma.pins_used + mb.pins_used >
-              params.delay.usable_pins(type.pins))
+              DelayManagement{}.usable_pins(type.pins))
             continue;
           // Fold b into a.
           for (int c : mb.clusters) ma.clusters.push_back(c);
@@ -212,7 +209,7 @@ MergeReport merge_modes(Architecture& arch, ScheduleResult& schedule,
     return true;
   };
 
-  for (int pass = start_pass; pass < params.max_passes && budget_left();
+  for (int pass = start_pass; pass < kMaxMergePasses && budget_left();
        ++pass) {
     ++report.passes;
     bool improved = false;
@@ -228,7 +225,7 @@ MergeReport merge_modes(Architecture& arch, ScheduleResult& schedule,
       if (!arch.lib().pe(arch.pes[src].type).is_programmable()) continue;
       for (int dst = 0; dst < static_cast<int>(arch.pes.size()); ++dst) {
         if (dst == src || !arch.pes[dst].alive()) continue;
-        if (!merge_screen(arch, src, dst, compat, flat, task_cluster, params))
+        if (!merge_screen(arch, src, dst, compat, flat, task_cluster))
           continue;
         merge_array.push_back(
             Entry{src, dst, arch.lib().pe(arch.pes[src].type).cost});
@@ -245,16 +242,12 @@ MergeReport merge_modes(Architecture& arch, ScheduleResult& schedule,
       if (!arch.pes[entry.src].alive() || !arch.pes[entry.dst].alive())
         continue;
       if (!merge_screen(arch, entry.src, entry.dst, compat, flat,
-                        task_cluster, params))
+                        task_cluster))
         continue;
       ++report.merges_tried;
       obs::count("merge.tried");
       Architecture trial = arch;
-      if (!apply_merge(trial, entry.src, entry.dst, flat, task_cluster)) {
-        ++report.rejected_apply;
-        obs::count("merge.rejected_apply");
-        continue;
-      }
+      apply_merge(trial, entry.src, entry.dst, flat, task_cluster);
       if (trial.cost().total() >= arch.cost().total()) {
         ++report.rejected_cost;
         obs::count("merge.rejected_cost");
@@ -278,9 +271,11 @@ MergeReport merge_modes(Architecture& arch, ScheduleResult& schedule,
       improved = true;
     }
 
-    if (params.consolidate_modes && budget_left()) {
+    // Then fold modes of one device into a single configuration where the
+    // area allows, removing a reconfiguration entirely.
+    if (budget_left()) {
       Architecture trial = arch;
-      const int combined = consolidate(trial, params);
+      const int combined = consolidate(trial);
       if (combined > 0) {
         ScheduleResult trial_schedule = reschedule(trial);
         if (trial_schedule.feasible &&

@@ -7,8 +7,10 @@
 // and greedily folds one device's modes into another as additional
 // reconfiguration modes — accepting a merge only when rescheduling (with
 // reboot tasks included) still meets every deadline and the dollar cost
-// drops.  Passes repeat until neither the cost nor the merge potential
-// decreases.
+// drops.  Passes (at most 8, each ending with mode consolidation) repeat
+// until neither the cost nor the merge potential decreases.  Merged modes
+// keep the allocator's caps: ERUF/EPUF (DelayManagement{}) and
+// kMaxModesPerDevice.
 #pragma once
 
 #include <functional>
@@ -31,16 +33,10 @@ struct MergeReport;
 using MergePassHook = std::function<void(const MergeReport&, bool finished)>;
 
 struct MergeParams {
-  DelayManagement delay;
-  int max_modes_per_device = 8;
-  int max_passes = 8;
   BootEstimator boot_estimate;
   /// See make_sched_problem: false for spec-declared mode-exclusive
   /// compatibility (reboots charged to the boot-time requirement).
   bool reboots_in_schedule = true;
-  /// Also try folding two modes of one device into a single configuration
-  /// when the area allows (removes a reconfiguration entirely).
-  bool consolidate_modes = true;
   /// Graceful-degradation budget: maximum tentative reschedules across the
   /// whole merge loop; 0 = unlimited.  On exhaustion the loop stops with the
   /// best architecture accepted so far and MergeReport::budget_exhausted
@@ -65,7 +61,6 @@ struct MergeReport {
   int merges_accepted = 0;
   /// Why tried-but-unaccepted merges died, so a budget-exhausted run can say
   /// where the reschedules went (mirrored into RunStats):
-  int rejected_apply = 0;      ///< link topology could not be preserved
   int rejected_cost = 0;       ///< folding did not lower the dollar cost
   int rejected_schedule = 0;   ///< reschedule with reboots missed a deadline
   int rejected_validator = 0;  ///< vetoed by the MergeValidator hook

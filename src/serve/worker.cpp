@@ -190,8 +190,8 @@ std::string error_body(JobKind kind, const char* klass,
     // schedule-evaluation and merge budgets at values that finish in a
     // fraction of the default search.  The supervisor surfaces the result
     // degraded-honest and never caches it.
-    params.alloc.max_iterations = 4096;
-    params.merge.budget = 64;
+    params.max_iterations = 4096;
+    params.merge_budget = 64;
     obs::count("serve.worker.reduced_budget");
   }
   if (request.fault_crash_attempts >= attempt) {
@@ -273,8 +273,8 @@ std::string error_body(JobKind kind, const char* klass,
   params.survive_check = true;
   params.survive_seeds = request.survive_seeds;
   if (limits.reduced_budget) {
-    params.base.alloc.max_iterations = 4096;
-    params.base.merge.budget = 64;
+    params.base.max_iterations = 4096;
+    params.base.merge_budget = 64;
     params.survive_seeds = std::max(1, request.survive_seeds / 2);
     obs::count("serve.worker.reduced_budget");
   }

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "alloc/allocation.hpp"
+#include "fpga/delay.hpp"
 #include "tgff/generator.hpp"
 
 namespace crusade {
@@ -41,10 +42,8 @@ TEST(ClusterTest, PartitionsEveryTaskExactlyOnce) {
 TEST(ClusterTest, NeverSpansGraphsAndRespectsSizeCap) {
   const Specification spec = small_spec();
   const FlatSpec flat(spec);
-  ClusteringParams params;
-  params.max_cluster_size = 5;
-  for (const Cluster& c : cluster_tasks(flat, lib(), params)) {
-    EXPECT_LE(static_cast<int>(c.tasks.size()), 5);
+  for (const Cluster& c : cluster_tasks(flat, lib(), ClusteringParams{})) {
+    EXPECT_LE(static_cast<int>(c.tasks.size()), kMaxClusterSize);
     for (int tid : c.tasks) EXPECT_EQ(flat.graph_of_task(tid), c.graph);
   }
 }
@@ -166,12 +165,11 @@ AllocRun run_allocator(std::uint64_t seed, bool use_modes) {
   keep_alive.push_back(std::make_unique<FlatSpec>(run.spec));
   const FlatSpec& flat = *keep_alive.back();
   run.clusters = cluster_tasks(flat, lib(), ClusteringParams{});
-  AllocParams params;
-  params.use_modes = use_modes && run.spec.compatibility.has_value();
-  params.reboots_in_schedule = !params.use_modes;
-  Allocator allocator(
-      flat, lib(),
-      params.use_modes ? &*run.spec.compatibility : nullptr, params);
+  Allocator allocator(flat, lib(),
+                      use_modes && run.spec.compatibility
+                          ? &*run.spec.compatibility
+                          : nullptr,
+                      AllocParams{});
   run.outcome = allocator.run(run.clusters);
   return run;
 }

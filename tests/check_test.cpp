@@ -419,15 +419,11 @@ TEST(CheckTree, RepoIsCleanWithPinnedSuppressions) {
   const CheckReport report = check_tree(".");
   EXPECT_GT(report.files_scanned, 80);
   EXPECT_EQ(report.errors(), 0) << report.summary();
-  // Every current suppression is a C004 on an env-gated debug fprintf in
-  // sched/alloc.  A new suppression anywhere must be reviewed: it shows up
-  // here as a count change.
-  EXPECT_EQ(report.suppressions(), 7);
-  for (const CheckFinding& f : report.findings) {
-    if (!f.suppressed) continue;
-    EXPECT_EQ(f.id, "C004") << f.file;
-    EXPECT_NE(f.reason.find("debug aid"), std::string::npos) << f.file;
-  }
+  // The tree carries no suppression.  A new one anywhere must be reviewed:
+  // it shows up here as a count change.
+  EXPECT_EQ(report.suppressions(), 0);
+  for (const CheckFinding& f : report.findings)
+    EXPECT_FALSE(f.suppressed) << f.file << ":" << f.line << " " << f.id;
 }
 
 }  // namespace

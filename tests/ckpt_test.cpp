@@ -243,17 +243,21 @@ TEST(CheckpointTest, CorruptionFailsLoudly) {
   bad_version[4] = static_cast<char>(0x7f);  // unsupported version
   EXPECT_THROW(ckpt::decode_checkpoint(bad_version, lib()), Error);
 
-  // An intact version-1 frame (the layout before AllocState) is refused
-  // with the version error, never misread.
-  const std::string v1 = diskfmt::frame(
-      "CKPT", 1, diskfmt::unframe(good, "CKPT", 2).payload);
-  try {
-    ckpt::decode_checkpoint(v1, lib());
-    ADD_FAILURE() << "a version-1 checkpoint decoded";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("unsupported checkpoint version 1"),
-              std::string::npos)
-        << e.what();
+  // Intact frames of the older layouts (version 1 before AllocState,
+  // version 2 with the merge report's rejected_apply) are refused with the
+  // version error, never misread.
+  const std::string payload =
+      diskfmt::unframe(good, "CKPT", ckpt::kCheckpointVersion).payload;
+  for (const std::uint32_t old : {1u, 2u}) {
+    try {
+      ckpt::decode_checkpoint(diskfmt::frame("CKPT", old, payload), lib());
+      ADD_FAILURE() << "a version-" << old << " checkpoint decoded";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported checkpoint version " +
+                                           std::to_string(old)),
+                std::string::npos)
+          << e.what();
+    }
   }
 
   // A flipped payload byte is caught by the CRC.
@@ -282,12 +286,25 @@ TEST(CheckpointTest, FingerprintSeparatesSpecsAndParams) {
   const std::uint64_t fa = Crusade::fingerprint(a, lib(), params);
   EXPECT_EQ(fa, Crusade::fingerprint(a, lib(), params));  // stable
   EXPECT_NE(fa, Crusade::fingerprint(b, lib(), params));  // spec-sensitive
-  CrusadeParams tweaked;
-  tweaked.enable_reconfig = false;
-  EXPECT_NE(fa, Crusade::fingerprint(a, lib(), tweaked));  // param-sensitive
-  CrusadeParams budget;
-  budget.alloc.max_iterations = 17;
-  EXPECT_NE(fa, Crusade::fingerprint(a, lib(), budget));
+
+  // Every search-shaping parameter moves the fingerprint...
+  std::vector<CrusadeParams> shaping(7);
+  shaping[0].enable_reconfig = false;
+  shaping[1].preflight = false;
+  shaping[2].preflight_prune = false;
+  shaping[3].clustering.enabled = false;
+  shaping[4].power_cap_mw = 1500;
+  shaping[5].max_iterations = 17;
+  shaping[6].merge_budget = 5;
+  for (std::size_t i = 0; i < shaping.size(); ++i)
+    EXPECT_NE(fa, Crusade::fingerprint(a, lib(), shaping[i])) << "input " << i;
+
+  // ...and what only observes or checks the search does not.
+  CrusadeParams cosmetic;
+  cosmetic.self_check = false;
+  cosmetic.checkpoint.every_evals = 1;
+  cosmetic.progress_hook = [](const AllocState&) {};
+  EXPECT_EQ(fa, Crusade::fingerprint(a, lib(), cosmetic));
 }
 
 // --- determinism + resume equivalence (the tentpole's core claim) ---------
@@ -346,6 +363,32 @@ TEST(CheckpointTest, ResumeFromEveryCheckpointIsBitIdentical) {
   }
   EXPECT_TRUE(saw_alloc);       // allocation-stage checkpoints were taken
   EXPECT_TRUE(saw_merge_done);  // and the final merge boundary
+}
+
+// Checkpointing adds a writer after the caller's progress hook; it never
+// replaces the hook or changes the search.
+TEST(CheckpointTest, ProgressHookSeesEveryCommitWhileCheckpointing) {
+  const Specification spec = base_station_spec(lib());
+
+  int plain_commits = 0;
+  CrusadeParams plain;
+  plain.progress_hook = [&](const AllocState&) { ++plain_commits; };
+  const CrusadeResult a = Crusade(spec, lib(), plain).run();
+
+  int ckpt_commits = 0;
+  int writes = 0;
+  CrusadeParams checkpointing;
+  checkpointing.progress_hook = [&](const AllocState&) { ++ckpt_commits; };
+  checkpointing.checkpoint.every_evals = 1;
+  checkpointing.checkpoint.on_write = [&](const ckpt::Checkpoint&) {
+    ++writes;
+  };
+  const CrusadeResult b = Crusade(spec, lib(), checkpointing).run();
+
+  EXPECT_GT(plain_commits, 0);
+  EXPECT_EQ(ckpt_commits, plain_commits);
+  EXPECT_GT(writes, 0);
+  EXPECT_EQ(arch_bytes(b.arch), arch_bytes(a.arch));
 }
 
 TEST(CheckpointTest, ResumeWithWrongSpecThrows) {

@@ -57,7 +57,7 @@ TEST(PowerModelTest, PowerCapSteersAllocation) {
   CrusadeParams capped;
   // A cap below the unconstrained draw (but generous enough to be reachable)
   // must not be exceeded when alternatives exist.
-  capped.alloc.power_cap_mw = unconstrained.power_mw * 0.9;
+  capped.power_cap_mw = unconstrained.power_mw * 0.9;
   const CrusadeResult r = Crusade(spec, lib(), capped).run();
   // The heuristic prefers under-cap candidates; the result should not blow
   // far past the unconstrained baseline.

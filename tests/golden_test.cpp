@@ -59,7 +59,7 @@ TEST_P(GoldenTest, SignatureAndCommitSequence) {
   int commit_count = 0;
   CrusadeParams params;
   params.enable_reconfig = g.reconfig;
-  params.alloc.progress_hook = [&](const AllocState& s) {
+  params.progress_hook = [&](const AllocState& s) {
     ++commit_count;
     ckpt::write_architecture(trail, s.arch);
     trail.vec_u8(s.placed);

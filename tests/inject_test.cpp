@@ -46,8 +46,8 @@ void run_pipeline(const Specification& spec, FuzzTally& tally,
   CrusadeParams params;
   // Budgets bound the run: a hostile mutation may open a hopeless search
   // space, and "never hangs" is part of the contract under test.
-  params.alloc.max_iterations = 400;
-  params.merge.budget = 60;
+  params.max_iterations = 400;
+  params.merge_budget = 60;
   // Static analysis first: the analyzer must digest ANY in-memory mutant
   // without throwing, and its errors claim provable infeasibility — a
   // claim checked against the synthesis outcome below.
@@ -198,8 +198,8 @@ TEST(InjectTest, FtFieldMutationsNeverCrashOrLie) {
       Specification mutant = bases[b];
       ResourceLibrary mlib = lib();
       CrusadeFtParams params;
-      params.base.alloc.max_iterations = 400;
-      params.base.merge.budget = 60;
+      params.base.max_iterations = 400;
+      params.base.merge_budget = 60;
       std::string context =
           "ft seed " + std::to_string(seed) + " base " + std::to_string(b);
 

@@ -281,9 +281,17 @@ TEST(MergeTest, ConsolidationFoldsSmallModes) {
 
 TEST(MergeTest, ModeCapRespected) {
   MergeFixture fx = make_merge_fixture(true);
+  // Fill one device to the cap with 450-PFU modes: no two fit one
+  // configuration, so consolidation cannot fold them, and merging the other
+  // device's mode in would need one mode too many.
+  PeInstance& full = fx.arch.pes[fx.arch.cluster_pe[0]];
+  while (static_cast<int>(full.modes.size()) < kMaxModesPerDevice) {
+    Mode mode;
+    mode.pfus_used = 450;
+    full.modes.push_back(mode);
+  }
   MergeParams params;
   params.reboots_in_schedule = false;
-  params.max_modes_per_device = 1;  // merging would need 2 modes
   const MergeReport report =
       merge_modes(fx.arch, fx.schedule, *fx.flat, *fx.spec.compatibility,
                   fx.task_cluster, params);

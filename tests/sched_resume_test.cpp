@@ -101,7 +101,7 @@ void check_committed_pairs(const Specification& spec, bool reconfig,
   std::vector<Architecture> commits;
   CrusadeParams params;
   params.enable_reconfig = reconfig;
-  params.alloc.progress_hook = [&](const AllocState& state) {
+  params.progress_hook = [&](const AllocState& state) {
     commits.push_back(state.arch);
   };
   const CrusadeResult result = Crusade(spec, lib(), params).run();

@@ -38,8 +38,7 @@ ValidationInput input_for(const Specification& spec, const CrusadeResult& r,
 }
 
 bool spec_declared(const Specification& spec, const CrusadeParams& params) {
-  return params.enable_reconfig && params.use_spec_compatibility &&
-         spec.compatibility.has_value();
+  return params.enable_reconfig && spec.compatibility.has_value();
 }
 
 void expect_clean(const Specification& spec, const CrusadeParams& params,
@@ -146,8 +145,8 @@ TEST(DiagnosisTest, AllocationBudgetExhaustionIsDiagnosed) {
   const Specification spec =
       gen.generate(profile_config(profile_by_name("A1TR"), 0.08));
   CrusadeParams params;
-  params.alloc.max_iterations = 1;  // strangle the search immediately
-  params.merge.budget = 1;
+  params.max_iterations = 1;  // strangle the search immediately
+  params.merge_budget = 1;
   const CrusadeResult r = Crusade(spec, lib(), params).run();
   EXPECT_TRUE(r.diagnosis.alloc_budget_exhausted);
   EXPECT_FALSE(r.diagnosis.empty());

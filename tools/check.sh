@@ -129,17 +129,18 @@ import json, sys
 doc = json.load(open(sys.argv[1]))
 assert doc["tool"] == "crusade-check", doc
 assert doc["errors"] == 0, f'{doc["errors"]} invariant errors'
+assert doc["suppressed"] == 0, f'{doc["suppressed"]} suppressions'
 for f in doc["findings"]:
     assert f["suppressed"] and f["reason"], f
 print(f'crusade-check JSON: {doc["files"]} files, 0 errors, '
-      f'{doc["suppressed"]} reasoned suppressions (python3)')
+      f'0 suppressions (python3)')
 EOF
   stage_ok
 elif command -v jq >/dev/null 2>&1; then
-  jq -e '.tool == "crusade-check" and .errors == 0 and
+  jq -e '.tool == "crusade-check" and .errors == 0 and .suppressed == 0 and
          ([.findings[] | select(.suppressed | not)] | length == 0)' \
     build-ci/crusade-check.json > /dev/null
-  echo "crusade-check JSON: 0 errors (jq)"
+  echo "crusade-check JSON: 0 errors, 0 suppressions (jq)"
   stage_ok
 else
   # The linter itself ran (its exit code gated the redirect above); only

@@ -209,8 +209,7 @@ int cmd_run(int argc, char** argv) {
     CrusadeFtParams params;
     params.base.enable_reconfig = !args.flags.count("--no-reconfig");
     if (args.options.count("--power-cap"))
-      params.base.alloc.power_cap_mw =
-          std::stod(args.options.at("--power-cap"));
+      params.base.power_cap_mw = std::stod(args.options.at("--power-cap"));
     const CrusadeFtResult r = CrusadeFt(spec, lib, params).run();
     std::printf("%s", describe_result(r.synthesis).c_str());
     int spares = 0;
@@ -233,7 +232,7 @@ int cmd_run(int argc, char** argv) {
   CrusadeParams params;
   params.enable_reconfig = !args.flags.count("--no-reconfig");
   if (args.options.count("--power-cap"))
-    params.alloc.power_cap_mw = std::stod(args.options.at("--power-cap"));
+    params.power_cap_mw = std::stod(args.options.at("--power-cap"));
   params.control = &g_control;
   if (args.options.count("--checkpoint")) {
     params.checkpoint.path = args.options.at("--checkpoint");
@@ -320,7 +319,7 @@ int cmd_ft(int argc, char** argv) {
   CrusadeFtParams params;
   params.base.enable_reconfig = !args.flags.count("--no-reconfig");
   if (args.options.count("--power-cap"))
-    params.base.alloc.power_cap_mw = std::stod(args.options.at("--power-cap"));
+    params.base.power_cap_mw = std::stod(args.options.at("--power-cap"));
   const CrusadeFtResult r = CrusadeFt(spec, lib, params).run();
 
   int spares = 0;
