@@ -41,6 +41,27 @@ void BM_TimelineEarliestFit(benchmark::State& state) {
 }
 BENCHMARK(BM_TimelineEarliestFit)->Arg(16)->Arg(64)->Arg(256);
 
+// A ring of W windows of one period with no gap, inserted in time order or
+// shuffled: no start fits, and the search must find that out.
+void BM_TimelineEarliestFitSaturated(benchmark::State& state) {
+  const TimeNs period = 1'024'000;
+  const TimeNs length = period / state.range(0);
+  std::vector<TimeNs> starts;
+  for (TimeNs s = 0; s < period; s += length) starts.push_back(s);
+  Rng rng(7);
+  if (state.range(1) != 0) rng.shuffle(starts);
+  Timeline tl;
+  for (std::size_t i = 0; i < starts.size(); ++i)
+    tl.add(starts[i], starts[i] + length, period, -1, static_cast<int>(i));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        tl.earliest_fit(0, 1'000, 100 * period, /*mode=*/-1));
+  }
+}
+BENCHMARK(BM_TimelineEarliestFitSaturated)
+    ->ArgNames({"windows", "shuffled"})
+    ->ArgsProduct({{16, 64, 256}, {0, 1}});
+
 const Specification& bench_spec() {
   static const ResourceLibrary lib = telecom_1999();
   static const Specification spec = [] {

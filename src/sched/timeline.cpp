@@ -1,6 +1,7 @@
 #include "sched/timeline.hpp"
 
-#include <algorithm>
+#include <limits>
+#include <numeric>
 
 #include "util/error.hpp"
 
@@ -10,31 +11,48 @@ TimeNs Timeline::earliest_fit(TimeNs ready, TimeNs duration, TimeNs period,
                               int mode, TimeNs ignore_below_period,
                               TimeNs ignore_above_period) const {
   CRUSADE_REQUIRE(duration >= 0, "negative duration");
+  CRUSADE_REQUIRE(period > 0, "non-positive period");
   if (duration == 0) return ready;
+  const TimeNs ignore_above = ignore_above_period == kNoTime
+                                  ? std::numeric_limits<TimeNs>::max()
+                                  : ignore_above_period;
+  const std::size_t n = windows_.size();
+  // Each shift is the least that clears its window, so every start it skips
+  // conflicts, and the first start a lap finds clear is the least fit in any
+  // visiting order.  Conflict with a window of period p repeats every
+  // gcd(period, p), so conflict with the windows that have shifted the start
+  // repeats every `conflict_period`, the lcm of their gcds (a divisor of
+  // `period`): once the start has moved that far, no start fits.  That can
+  // be far: short-period windows that cover their period only together,
+  // beside a long-period window, move the start a little at a time.  So the
+  // shifts stay bounded too (DESIGN §7 item 15).
+  const std::size_t max_shifts = 6 * n + 8;
+  std::size_t shifts = 0;
   TimeNs start = ready;
-  // Each shift clears at least one conflicting window; with shifting phase
-  // relationships a bounded retry count keeps the search total.  Failure to
-  // fit simply rejects the allocation candidate upstream.
-  const int max_iterations = static_cast<int>(windows_.size()) * 6 + 8;
-  for (int iter = 0; iter < max_iterations; ++iter) {
-    bool moved = false;
-    for (const Window& w : windows_) {
-      if (!conflicts_mode(mode, w.mode)) continue;
-      if (w.span.period > 0 && w.span.period < ignore_below_period) continue;
-      if (ignore_above_period != kNoTime && w.span.period > 0 &&
-          w.span.period > ignore_above_period)
-        continue;
-      const PeriodicWindow candidate{start, start + duration, period};
-      if (!periodic_overlap(candidate, w.span)) continue;
-      const TimeNs shift = min_shift_to_avoid(candidate, w.span);
-      if (shift == kNoTime) return kNoTime;
-      start += shift;
-      moved = true;
-      break;
+  TimeNs conflict_period = 1;
+  TimeNs run_period = 0;  // the last window period met, and its gcd
+  TimeNs run_gcd = 0;
+  // `clear` counts the windows passed since the last shift; a lap ends it.
+  for (std::size_t i = 0, clear = 0; clear < n;
+       ++clear, i = i + 1 == n ? 0 : i + 1) {
+    const Window& w = windows_[i];
+    if (!conflicts_mode(mode, w.mode) || w.span.period < ignore_below_period ||
+        w.span.period > ignore_above)
+      continue;
+    if (w.span.period != run_period) {
+      run_period = w.span.period;
+      run_gcd = std::gcd(period, run_period);
     }
-    if (!moved) return start;
+    const TimeNs shift = shift_to_clear(
+        PeriodicWindow{start, start + duration, period}, w.span, run_gcd);
+    if (shift == 0) continue;
+    if (shift == kNoTime || ++shifts > max_shifts) return kNoTime;
+    start += shift;
+    conflict_period = std::lcm(conflict_period, run_gcd);
+    if (start - ready >= conflict_period) return kNoTime;
+    clear = 0;  // window i is clear now; the loop counts it
   }
-  return kNoTime;
+  return start;
 }
 
 double Timeline::utilization_above(TimeNs period, int mode) const {
@@ -53,7 +71,7 @@ std::vector<Timeline::Interference> Timeline::preemptors(TimeNs period,
   std::vector<Interference> result;
   for (const Window& w : windows_) {
     if (!conflicts_mode(mode, w.mode)) continue;
-    if (w.span.period > 0 && w.span.period < period)
+    if (w.span.period < period)
       result.push_back({w.work, w.span.period});
   }
   return result;
@@ -62,6 +80,7 @@ std::vector<Timeline::Interference> Timeline::preemptors(TimeNs period,
 void Timeline::add(TimeNs start, TimeNs finish, TimeNs period, int mode,
                    int owner, TimeNs work) {
   CRUSADE_REQUIRE(finish >= start, "window ends before it starts");
+  CRUSADE_REQUIRE(period > 0, "non-positive period");
   if (work == kNoTime) work = finish - start;
   windows_.push_back(
       Window{PeriodicWindow{start, finish, period}, work, mode, owner});
@@ -70,8 +89,7 @@ void Timeline::add(TimeNs start, TimeNs finish, TimeNs period, int mode,
 double Timeline::utilization() const {
   double u = 0;
   for (const Window& w : windows_)
-    if (w.span.period > 0)
-      u += static_cast<double>(w.work) / static_cast<double>(w.span.period);
+    u += static_cast<double>(w.work) / static_cast<double>(w.span.period);
   return u;
 }
 

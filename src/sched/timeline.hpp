@@ -7,7 +7,12 @@
 // gcd-based overlap test from util/periodic.hpp.  Windows tagged with
 // different reconfiguration modes of a programmable device never conflict —
 // mode-exclusive task graphs are guaranteed (by compatibility) never to
-// execute simultaneously.
+// execute simultaneously.  Every period is positive.
+//
+// A fit is one cyclic sweep over the windows in insertion order: a window in
+// conflict pushes the start by the least shift that clears it, the sweep goes
+// on with the next window, and a lap of clear windows ends it (DESIGN §7
+// item 15).
 #pragma once
 
 #include <cstddef>
@@ -39,13 +44,14 @@ class Timeline {
   const std::vector<Window>& windows() const { return windows_; }
 
   /// Earliest start >= ready at which [start, start+duration) with the given
-  /// period fits without conflicting any window of the same mode (or any
-  /// modeless window).  Windows with a positive period strictly below
+  /// positive period fits without conflicting any window of the same mode
+  /// (or any modeless window).  Windows with a period strictly below
   /// `ignore_below_period` are skipped — the preemptive-CPU path treats them
   /// as preemptors already paid for by response-time inflation; windows with
   /// a period strictly above `ignore_above_period` are skipped likewise —
   /// the new task preempts them, and their load is charged via the
-  /// processor-sharing factor instead.  Returns kNoTime when no fit exists.
+  /// processor-sharing factor instead.  Returns kNoTime when no fit exists,
+  /// or when the search ends at its bound of 6W+8 shifts (W windows) first.
   TimeNs earliest_fit(TimeNs ready, TimeNs duration, TimeNs period, int mode,
                       TimeNs ignore_below_period = 0,
                       TimeNs ignore_above_period = kNoTime) const;

@@ -1,8 +1,15 @@
 // Additional property suites for the scheduling stack: fuzzed timeline
-// placement post-conditions, scheduler determinism, and RTA arithmetic.
+// placement post-conditions, the timeline fit against the restart scan it
+// replaced, scheduler determinism, and RTA arithmetic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <utility>
+#include <vector>
+
 #include "alloc/allocation.hpp"
+#include "reference_scheduler.hpp"
 #include "sched/scheduler.hpp"
 #include "tgff/generator.hpp"
 
@@ -65,6 +72,192 @@ TEST_P(TimelineFuzz, FitIsEarliestAmongProbes) {
                           << got << ")";
     }
   }
+}
+
+// --- the sweep against the restart scan it replaced ---
+
+struct FitQuery {
+  TimeNs ready = 0;
+  TimeNs duration = 0;
+  TimeNs period = 0;
+  int mode = -1;
+  TimeNs ignore_below = 0;
+  TimeNs ignore_above = kNoTime;
+};
+
+/// The least start in [ready, ready + period) that clears every window the
+/// query meets, or kNoTime.  Conflict with a window repeats with a divisor of
+/// the query period, so one period decides whether any start fits.
+TimeNs brute_force_fit(const Timeline& tl, const FitQuery& q) {
+  for (TimeNs s = q.ready; s < q.ready + q.period; ++s) {
+    const PeriodicWindow cand{s, s + q.duration, q.period};
+    bool clear = true;
+    for (const Timeline::Window& w : tl.windows()) {
+      const bool met =
+          (q.mode < 0 || w.mode < 0 || w.mode == q.mode) &&
+          w.span.period >= q.ignore_below &&
+          (q.ignore_above == kNoTime || w.span.period <= q.ignore_above);
+      if (met && periodic_overlap(cand, w.span)) {
+        clear = false;
+        break;
+      }
+    }
+    if (clear) return s;
+  }
+  return kNoTime;
+}
+
+/// One side's answer against the brute force's `truth`.  A side may return
+/// kNoTime while a fit exists only by ending at its bound of 6W+8 shifts:
+/// empty windows never shift a start, so the same timeline padded with
+/// `period` of them makes the same shifts under a bound above `period`,
+/// which the least fit needs at most, and must then find it.
+template <typename Fit>
+::testing::AssertionResult matches_truth(const Timeline& tl,
+                                         const FitQuery& q, TimeNs truth,
+                                         Fit fit, int* bound_hits) {
+  const TimeNs got = fit(tl);
+  if (got == truth) return ::testing::AssertionSuccess();
+  if (got != kNoTime || truth == kNoTime)
+    return ::testing::AssertionFailure()
+           << "returned " << got << ", least fit " << truth;
+  ++*bound_hits;
+  Timeline padded = tl;
+  for (TimeNs k = 0; k < q.period; ++k) padded.add(0, 0, q.period, -1, -1);
+  const TimeNs raised = fit(padded);
+  if (raised == truth) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << "no fit returned although " << truth << " fits, and "
+         << raised << " under a raised bound";
+}
+
+TEST_P(TimelineFuzz, MatchesReferenceFit) {
+  Rng rng(GetParam() ^ 0xf17);
+  const std::vector<TimeNs> harmonic = {60, 120, 240, 480};
+  // Pairwise gcds 6..35, plus two primes that meet any window at every
+  // phase of a query whose period they do not divide.
+  const std::vector<TimeNs> mixed = {30, 42, 70, 105, 11, 13};
+  auto pick = [&rng](const std::vector<TimeNs>& v) {
+    return v[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(v.size()) - 1))];
+  };
+  auto random_mode = [&rng] { return static_cast<int>(rng.uniform_int(-1, 2)); };
+  // Covers a `period` ring with windows of random lengths (some zero) in
+  // random insertion order, leaving `gap` free at the end.
+  auto ring = [&](Timeline& tl, TimeNs period, TimeNs max_len, TimeNs gap,
+                  int mode) {
+    std::vector<std::pair<TimeNs, TimeNs>> pieces;
+    for (TimeNs at = 0; at < period - gap;) {
+      const TimeNs len =
+          std::min(rng.uniform_int(0, max_len), period - gap - at);
+      pieces.push_back({at, at + len});
+      at += len;
+    }
+    rng.shuffle(pieces);
+    const TimeNs offset = rng.uniform_int(0, 2 * period);
+    for (const auto& [s, f] : pieces)
+      tl.add(offset + s, offset + f, period, mode, 0);
+  };
+
+  int queries = 0;
+  int no_fits = 0;
+  int sweep_bound_hits = 0;
+  int reference_bound_hits = 0;
+  for (int round = 0; round < 60; ++round) {
+    Timeline tl;
+    std::vector<TimeNs> query_periods;
+    TimeNs max_duration = 0;
+    switch (round % 5) {
+      case 0:  // harmonic periods, random windows
+      case 1: {  // non-harmonic and coprime periods
+        const std::vector<TimeNs>& periods = round % 5 == 0 ? harmonic : mixed;
+        const int n = static_cast<int>(rng.uniform_int(1, 24));
+        for (int i = 0; i < n; ++i) {
+          TimeNs p = pick(periods);
+          if (p < 20 && !rng.chance(0.2)) p = pick(periods);
+          const TimeNs s = rng.uniform_int(0, 2 * p);
+          const TimeNs len = rng.chance(0.15) ? 0 : rng.uniform_int(1, p / 4);
+          tl.add(s, s + len, p, random_mode(), i);
+        }
+        query_periods = periods;
+        if (round % 5 == 1) query_periods.push_back(210);
+        max_duration = 40;
+        break;
+      }
+      case 2: {  // one-period rings, saturated or with one gap
+        const TimeNs p = pick(harmonic);
+        ring(tl, p, p / 6, rng.chance(0.5) ? 0 : rng.uniform_int(1, 8),
+             rng.chance(0.7) ? -1 : random_mode());
+        for (int i = 0, extra = static_cast<int>(rng.uniform_int(0, 3));
+             i < extra; ++i) {
+          const TimeNs q = pick(harmonic);
+          const TimeNs s = rng.uniform_int(0, q);
+          tl.add(s, s + rng.uniform_int(0, 10), q, random_mode(), i);
+        }
+        query_periods = {p, 2 * p, 480};
+        max_duration = 12;
+        break;
+      }
+      case 3: {  // rings of coprime periods with one gap each: the least
+                 // fit can lie more shifts away than either bound allows
+        for (const TimeNs p : {5, 7, 9})
+          ring(tl, p, 2, 1, rng.chance(0.8) ? -1 : random_mode());
+        query_periods = {315, 630};
+        max_duration = 1;
+        break;
+      }
+      default: {  // short periods that saturate only jointly, beside a long
+                  // window, under a long query period
+        const TimeNs short_period = rng.chance(0.5) ? 8 : 12;
+        const TimeNs gap = rng.chance(0.5) ? 0 : 1;
+        ring(tl, short_period, short_period / 2 - 1, gap, -1);
+        const TimeNs long_period = rng.chance(0.5) ? 2'400 : 4'800;
+        const TimeNs s = rng.uniform_int(0, long_period);
+        tl.add(s, s + rng.uniform_int(1, 12 * short_period), long_period,
+               random_mode(), 1);
+        query_periods = {long_period, 9'600};
+        max_duration = 2;
+        break;
+      }
+    }
+    for (int k = 0; k < 40; ++k) {
+      FitQuery q;
+      q.period = pick(query_periods);
+      q.ready = rng.uniform_int(0, 2 * q.period);
+      q.duration = rng.uniform_int(0, max_duration);
+      q.mode = random_mode();
+      switch (rng.uniform_int(0, 3)) {
+        case 0: break;
+        case 1: q.ignore_below = q.ignore_above = q.period; break;
+        case 2: q.ignore_below = pick(query_periods); break;
+        default: q.ignore_above = pick(query_periods); break;
+      }
+      const TimeNs truth = brute_force_fit(tl, q);
+      ++queries;
+      if (truth == kNoTime) ++no_fits;
+      ASSERT_TRUE(matches_truth(
+          tl, q, truth,
+          [&q](const Timeline& t) {
+            return t.earliest_fit(q.ready, q.duration, q.period, q.mode,
+                                  q.ignore_below, q.ignore_above);
+          },
+          &sweep_bound_hits))
+          << "sweep, seed " << GetParam() << " round " << round;
+      ASSERT_TRUE(matches_truth(
+          tl, q, truth,
+          [&q](const Timeline& t) {
+            return reference::earliest_fit(t, q.ready, q.duration, q.period,
+                                           q.mode, q.ignore_below,
+                                           q.ignore_above);
+          },
+          &reference_bound_hits))
+          << "reference, seed " << GetParam() << " round " << round;
+    }
+  }
+  std::printf("seed %llu: %d queries, %d without a fit; a fit missed at "
+              "the bound: sweep %d, reference %d\n",
+              static_cast<unsigned long long>(GetParam()), queries, no_fits,
+              sweep_bound_hits, reference_bound_hits);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TimelineFuzz,

@@ -103,7 +103,7 @@ ScheduleResult run_list_scheduler(const SchedProblem& problem,
     if (done >= 0) return done;
     const TimeNs boot = info.mode_boot[mode];
     const TimeNs start =
-        result.timelines[res].earliest_fit(0, boot, period, mode);
+        earliest_fit(result.timelines[res], 0, boot, period, mode);
     if (start == kNoTime) {
       ++result.placement_failures;
       if (std::getenv("CRUSADE_DEBUG_SCHED"))
@@ -142,7 +142,7 @@ ScheduleResult run_list_scheduler(const SchedProblem& problem,
       const TimeNs comm = problem.edge_comm[eid];
       TimeNs e_finish = result.task_finish[src];
       if (link >= 0 && comm > 0) {
-        const TimeNs e_start = result.timelines[link].earliest_fit(
+        const TimeNs e_start = earliest_fit(result.timelines[link],
             result.task_finish[src], comm, period, /*mode=*/-1);
         if (e_start == kNoTime) {
           ++result.placement_failures;
@@ -218,11 +218,11 @@ ScheduleResult run_list_scheduler(const SchedProblem& problem,
         // else is configured in the same mode.
         start = t_ready;
       } else if (info.preemptive) {
-        start = tl.earliest_fit(t_ready, duration, period, mode,
-                                /*ignore_below=*/period,
-                                /*ignore_above=*/period);
+        start = earliest_fit(tl, t_ready, duration, period, mode,
+                             /*ignore_below=*/period,
+                             /*ignore_above=*/period);
       } else {
-        start = tl.earliest_fit(t_ready, duration, period, mode);
+        start = earliest_fit(tl, t_ready, duration, period, mode);
       }
     }
     if (start == kNoTime) {

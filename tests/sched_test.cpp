@@ -99,6 +99,37 @@ TEST(TimelineTest, IgnoreBandsFilterByPeriod) {
   EXPECT_EQ(tl.earliest_fit(0, 50, 10'000, -1, 10'000, 10'000), 0);
 }
 
+TEST(TimelineTest, SaturatedRingHasNoFit) {
+  // Ten 90 ns windows every 1000 ns, inserted out of time order, leave
+  // 10 ns gaps: a 20 ns window fits in none of them, a 10 ns one in each.
+  Timeline tl;
+  for (int i = 9; i >= 0; --i) tl.add(100 * i, 100 * i + 90, 1000, -1, i);
+  EXPECT_EQ(tl.earliest_fit(0, 20, 1000, -1), kNoTime);
+  EXPECT_EQ(tl.earliest_fit(0, 20, 4000, -1), kNoTime);
+  EXPECT_EQ(tl.earliest_fit(0, 10, 1000, -1), 90);
+  EXPECT_EQ(tl.earliest_fit(95, 10, 4000, -1), 190);
+}
+
+TEST(TimelineTest, JointlySaturatingShortPeriodsEndAtTheBound) {
+  // [0, 5) and [5, 10) every 10 ns cover their period only together, so
+  // each clears a 1 ns window alone and shifts it by 5 ns.  The
+  // minute-period window shifts the start first, so the conflict pattern
+  // repeats only every minute: without its shift bound the sweep would
+  // walk 6e9 cycles of 10 ns before it gave up.
+  Timeline tl;
+  tl.add(0, 3, kMinute, -1, 0);
+  tl.add(0, 5, 10, -1, 1);
+  tl.add(5, 10, 10, -1, 2);
+  EXPECT_EQ(tl.earliest_fit(0, 1, kMinute, -1), kNoTime);
+}
+
+TEST(TimelineTest, RejectsNonPositivePeriods) {
+  Timeline tl;
+  EXPECT_THROW(tl.add(0, 10, 0, -1, 0), Error);
+  EXPECT_THROW(tl.earliest_fit(0, 10, 0, -1), Error);
+  EXPECT_TRUE(tl.windows().empty());
+}
+
 TEST(TimelineTest, PreemptorsAndUtilization) {
   Timeline tl;
   tl.add(0, 100, 1000, -1, 0, /*work=*/80);
