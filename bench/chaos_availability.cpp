@@ -10,6 +10,8 @@
 //
 // The fault plan is seeded, so a sweep replays bit-identically; scale job
 // counts with CRUSADE_SCALE.
+//
+//   chaos_availability [output.json]     (default: BENCH_chaos.json)
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -132,7 +134,8 @@ RatePoint run_rate(const std::string& base_spec, double fault_rate,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const char* out_path = argc > 1 ? argv[1] : "BENCH_chaos.json";
   const double scale = bench::workload_scale(0.25);
   const ResourceLibrary lib = telecom_1999();
   std::ostringstream spec_stream;
@@ -146,9 +149,9 @@ int main() {
   for (const double rate : rates)
     points.push_back(run_rate(spec, rate, jobs, index++));
 
-  std::FILE* json = std::fopen("BENCH_chaos.json", "w");
+  std::FILE* json = std::fopen(out_path, "w");
   if (!json) {
-    std::fprintf(stderr, "cannot open BENCH_chaos.json for writing\n");
+    std::fprintf(stderr, "cannot open %s for writing\n", out_path);
     return 1;
   }
   std::fprintf(json,
@@ -197,7 +200,7 @@ int main() {
         "%d rejected, %d busy, %llu injected, p50=%.2f ms p99=%.2f ms\n",
         p.fault_rate, p.goodput, p.good, p.submitted, p.degraded, p.failed,
         p.rejected, p.busy, p.injected, p.p50_ms, p.p99_ms);
-  std::printf("wrote BENCH_chaos.json\n");
+  std::printf("wrote %s\n", out_path);
 
   if (!honest) {
     std::fprintf(stderr, "availability books do not balance\n");

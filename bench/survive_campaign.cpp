@@ -8,6 +8,8 @@
 // Also doubles as a large-N soak: every scenario verdict is tallied and an
 // FT-LIE fails the bench (exit 1) — throughput numbers from a lying
 // simulator would not be worth recording.  Scale with CRUSADE_SCALE.
+//
+//   survive_campaign [output.json]     (default: BENCH_survive.json)
 #include <chrono>
 #include <cstdio>
 
@@ -27,7 +29,8 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const char* out_path = argc > 1 ? argv[1] : "BENCH_survive.json";
   const double scale = bench::workload_scale(0.10);
   const ResourceLibrary lib = telecom_1999();
   SpecGenerator generator(lib);
@@ -66,9 +69,9 @@ int main() {
   const double per_scenario_us = seconds * 1e6 / c.scenarios;
   const double per_second = c.scenarios / seconds;
 
-  std::FILE* json = std::fopen("BENCH_survive.json", "w");
+  std::FILE* json = std::fopen(out_path, "w");
   if (!json) {
-    std::fprintf(stderr, "cannot open BENCH_survive.json for writing\n");
+    std::fprintf(stderr, "cannot open %s for writing\n", out_path);
     return 1;
   }
   std::fprintf(json,
@@ -103,7 +106,7 @@ int main() {
               per_second);
   std::printf("  verdicts: %d masked, %d degraded-honest, %d FT-LIE\n",
               c.masked, c.degraded, c.ft_lies);
-  std::printf("wrote BENCH_survive.json (clean: %s)\n",
+  std::printf("wrote %s (clean: %s)\n", out_path,
               c.clean() ? "yes" : "NO");
   return c.clean() && c.transients_cross_pe == c.transients ? 0 : 1;
 }

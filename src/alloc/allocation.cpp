@@ -113,6 +113,29 @@ PriorityLevels scheduling_levels(const FlatSpec& flat,
                          default_edge_times(flat, lib));
 }
 
+namespace {
+
+/// The search's ranking of candidate schedules, lower is better: placement
+/// failures, then total plus estimated tardiness.
+ScheduleCutoff rank(const ScheduleResult& schedule) {
+  return {schedule.placement_failures,
+          schedule.total_tardiness + schedule.estimated_tardiness};
+}
+
+}  // namespace
+
+bool schedule_beats(const ScheduleResult& candidate,
+                    const ScheduleResult& best) {
+  return !candidate.cut && rank(candidate) < rank(best);
+}
+
+// Exact because a call's failures and tardiness only grow along the list
+// and its estimated tardiness is never negative: counters that reach the
+// best's rank end at or above it.
+ScheduleCutoff cutoff_to_beat(const ScheduleResult& best) {
+  return rank(best);
+}
+
 Allocator::Allocator(const FlatSpec& flat, const ResourceLibrary& lib,
                      const CompatibilityMatrix* compat, AllocParams params)
     : flat_(flat),
@@ -275,14 +298,13 @@ void Allocator::materialize(Architecture& arch, const Candidate& cand,
 
 std::vector<Allocator::Candidate> Allocator::enumerate(
     const Architecture& arch, const Cluster& cluster,
-    const std::vector<int>& task_cluster) {
+    const std::vector<int>& task_cluster, bool fresh_pes) {
   OBS_SPAN("alloc.enumerate");
   std::vector<Candidate> candidates;
   const double base_cost = arch.cost().total();
 
-  auto push = [&](Candidate cand) {
-    scratch_ = arch;
-    materialize(scratch_, cand, cluster, task_cluster);
+  // Costs `cand` as placed on `scratch_`.
+  auto push_costed = [&](Candidate cand) {
     cand.delta_cost = scratch_.cost().total() - base_cost;
     cand.preference = cluster.preference.empty()
                           ? 0
@@ -295,7 +317,9 @@ std::vector<Allocator::Candidate> Allocator::enumerate(
     cand.pe = pe;
     cand.mode = mode;
     cand.created_mode = created_mode;
-    push(cand);
+    scratch_ = arch;
+    materialize(scratch_, cand, cluster, task_cluster);
+    push_costed(cand);
   };
 
   // --- existing PE instances ---
@@ -403,25 +427,38 @@ std::vector<Allocator::Candidate> Allocator::enumerate(
   }
 
   // --- a new instance of every feasible PE type ---
-  for (PeTypeId type = 0; params_.allow_new_pes && type < lib_.pe_count();
-       ++type) {
+  // Placement and link wiring never read the fresh PE's type, so the entries
+  // differ only in that type: the first is materialized and the rest are
+  // costed by retyping its PE, which leaves `scratch_` equal to what
+  // materializing them would build.
+  if (!fresh_pes || !params_.allow_new_pes) return candidates;
+  bool built = false;
+  for (PeTypeId type = 0; type < lib_.pe_count(); ++type) {
     if (!cluster.feasible_pe[type] || pe_type_pruned(type)) continue;
     Candidate cand;
     cand.pe = static_cast<int>(arch.pes.size());
     cand.new_type = type;
     cand.new_instance = true;
-    push(cand);
+    if (built) {
+      scratch_.pes[cand.pe].type = type;
+    } else {
+      scratch_ = arch;
+      materialize(scratch_, cand, cluster, task_cluster);
+      built = true;
+    }
+    push_costed(cand);
   }
   return candidates;
 }
 
 ScheduleResult Allocator::evaluate(const Architecture& arch,
-                                   const AllocationOutcome& committed) {
+                                   const AllocationOutcome& committed,
+                                   const ScheduleCutoff* cutoff) {
   OBS_SPAN("alloc.eval");
   ++stats().sched_evals;
   obs::count("alloc.sched_evals");
   return schedule_architecture(arch, committed.task_cluster,
-                               &committed.schedule);
+                               &committed.schedule, cutoff);
 }
 
 AllocationOutcome Allocator::run(const std::vector<Cluster>& clusters,
@@ -585,16 +622,7 @@ AllocationOutcome Allocator::run(const std::vector<Cluster>& clusters,
         accepted = true;
         break;
       }
-      const bool better =
-          best < 0 ||
-          schedule.placement_failures <
-              best_schedule.placement_failures ||
-          (schedule.placement_failures ==
-               best_schedule.placement_failures &&
-           schedule.total_tardiness + schedule.estimated_tardiness <
-               best_schedule.total_tardiness +
-                   best_schedule.estimated_tardiness);
-      if (better) {
+      if (best < 0 || schedule_beats(schedule, best_schedule)) {
         best = static_cast<int>(i);
         best_schedule = std::move(schedule);
         std::swap(trial, best_arch);
@@ -627,14 +655,14 @@ AllocationOutcome Allocator::run(const std::vector<Cluster>& clusters,
 
 ScheduleResult Allocator::schedule_architecture(
     const Architecture& arch, const std::vector<int>& task_cluster,
-    const ScheduleResult* base) {
+    const ScheduleResult* base, const ScheduleCutoff* cutoff) {
   SchedProblem problem =
       make_sched_problem(arch, flat_, task_cluster, params_.boot_estimate,
                          /*reboots_in_schedule=*/!compat_);
   problem.task_optimistic = &optimistic_exec_;
   ++stats().sched_invocations;
   ++stats().finish_estimates;
-  return run_list_scheduler(problem, sched_levels_, base);
+  return run_list_scheduler(problem, sched_levels_, base, cutoff);
 }
 
 int Allocator::evacuate_devices(AllocationOutcome& outcome,
@@ -665,14 +693,14 @@ int Allocator::evacuate_devices(AllocationOutcome& outcome,
 
       bool all_placed = true;
       for (int c : residents) {
-        std::vector<Candidate> candidates =
-            enumerate(trial, clusters[c], outcome.task_cluster);
         // Forbid returning to the victim or opening a fresh device: the
         // point is to live inside the remaining architecture.  Pick the
         // cheapest eligible placement.
+        std::vector<Candidate> candidates =
+            enumerate(trial, clusters[c], outcome.task_cluster,
+                      /*fresh_pes=*/false);
         int chosen = -1;
         for (std::size_t i = 0; i < candidates.size(); ++i) {
-          if (candidates[i].new_instance) continue;
           if (candidates[i].pe == victim) continue;
           if (chosen < 0 ||
               candidates[i].delta_cost < candidates[chosen].delta_cost)
@@ -852,17 +880,12 @@ void Allocator::repair(AllocationOutcome& outcome,
         if (!keep_going()) break;
         trial = stripped;
         materialize(trial, candidates[i], cluster, outcome.task_cluster);
-        ScheduleResult schedule = evaluate(trial, outcome);
-        const bool better =
-            best < 0 ||
-            schedule.placement_failures <
-                best_schedule.placement_failures ||
-            (schedule.placement_failures ==
-                 best_schedule.placement_failures &&
-             schedule.total_tardiness + schedule.estimated_tardiness <
-                 best_schedule.total_tardiness +
-                     best_schedule.estimated_tardiness);
-        if (better) {
+        // After the first, a candidate is only worth scheduling while it
+        // can still beat the best so far; one that cannot is cut short.
+        const ScheduleCutoff cutoff = cutoff_to_beat(best_schedule);
+        ScheduleResult schedule =
+            evaluate(trial, outcome, best < 0 ? nullptr : &cutoff);
+        if (best < 0 || schedule_beats(schedule, best_schedule)) {
           best = static_cast<int>(i);
           best_schedule = std::move(schedule);
           std::swap(trial, best_arch);

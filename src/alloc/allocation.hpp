@@ -147,6 +147,21 @@ PriorityLevels current_priority_levels(const Architecture& arch,
 PriorityLevels scheduling_levels(const FlatSpec& flat,
                                  const ResourceLibrary& lib);
 
+/// The allocation search's comparison of candidate schedules, in the
+/// constructive loop and in repair: `candidate` beats `best` with fewer
+/// placement failures, or as many and less total plus estimated tardiness.
+/// A cut result beats nothing.
+bool schedule_beats(const ScheduleResult& candidate, const ScheduleResult& best);
+/// The cutoff repair hands the list scheduler for a candidate evaluated
+/// after `best`: a call whose running counters reach it cannot end up
+/// beating `best`, so repair loses nothing when it stops there (DESIGN.md §7
+/// item 16).  It and schedule_beats read one ranking of schedules.
+ScheduleCutoff cutoff_to_beat(const ScheduleResult& best);
+
+namespace reference {
+struct AllocationArray;  // the test oracle for Allocator::enumerate
+}
+
 class Allocator {
  public:
   /// `compat` selects the reconfiguration semantics.  Non-null: mode-aware
@@ -170,14 +185,15 @@ class Allocator {
 
   /// Schedules an architecture the way every allocator call does — same
   /// problem construction, optimistic estimates and canonical priority
-  /// levels — resuming from `base`'s common prefix when given.  Counts the
-  /// scheduler call and its finish-time estimation but not against the
-  /// evaluation budget.  Checkpoint resume uses it to rebuild the schedule
-  /// that was deliberately not serialized (it is a pure function of the
-  /// architecture).
+  /// levels — resuming from `base`'s common prefix and stopping at `cutoff`
+  /// when given.  Counts the scheduler call and its finish-time estimation,
+  /// cut or not, but not against the evaluation budget.  Checkpoint resume
+  /// uses it to rebuild the schedule that was deliberately not serialized
+  /// (it is a pure function of the architecture).
   ScheduleResult schedule_architecture(const Architecture& arch,
                                        const std::vector<int>& task_cluster,
-                                       const ScheduleResult* base = nullptr);
+                                       const ScheduleResult* base = nullptr,
+                                       const ScheduleCutoff* cutoff = nullptr);
 
   /// Post-allocation repair: relocate clusters owning failing/tardy tasks
   /// while the schedule improves.  Also used by the driver after merge and
@@ -195,6 +211,8 @@ class Allocator {
                        const std::vector<Cluster>& clusters);
 
  private:
+  friend struct reference::AllocationArray;
+
   bool pe_type_pruned(PeTypeId type) const {
     return type >= 0 &&
            type < static_cast<PeTypeId>(params_.pruned_pe_types.size()) &&
@@ -223,11 +241,14 @@ class Allocator {
     int compat_waste = 0;
   };
 
-  /// The allocation array of `cluster` on `arch`, unordered.  Each entry is
-  /// costed by applying it to `scratch_`.
+  /// The allocation array of `cluster` on `arch`, unordered: the existing
+  /// PE entries, then (with `fresh_pes`) a fresh PE of every feasible type.
+  /// Each entry is costed by applying it to `scratch_`; the fresh PE is
+  /// built once and retyped for every further type.
   std::vector<Candidate> enumerate(const Architecture& arch,
                                    const Cluster& cluster,
-                                   const std::vector<int>& task_cluster);
+                                   const std::vector<int>& task_cluster,
+                                   bool fresh_pes = true);
   /// Applies `cand` in place to the architecture it was enumerated from (or
   /// an equal one): the fresh PE if it buys one, the placement, and the
   /// link wiring of its boundary edges.
@@ -243,9 +264,11 @@ class Allocator {
   /// Budget-counted scheduling: every schedule evaluation in allocation,
   /// repair and evacuation funnels through here, scheduling `arch` from
   /// the common prefix of `committed`'s schedule (a default-constructed
-  /// schedule before the first commit means from scratch).
+  /// schedule before the first commit means from scratch).  A `cutoff`
+  /// may cut the call (ScheduleResult::cut); it still counts in full.
   ScheduleResult evaluate(const Architecture& arch,
-                          const AllocationOutcome& committed);
+                          const AllocationOutcome& committed,
+                          const ScheduleCutoff* cutoff = nullptr);
   RunStats& stats() { return params_.stats ? *params_.stats : own_stats_; }
   /// One gate for both truncation causes, polled wherever the search can
   /// stop refining: the evaluation budget (deterministic — a resumed run

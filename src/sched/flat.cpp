@@ -15,6 +15,7 @@ FlatSpec::FlatSpec(const Specification& spec) : spec_(&spec) {
     edge_count_ += spec.graphs[g].edge_count();
   }
   task_graph_.resize(task_count_);
+  deadline_.resize(task_count_);
   edge_graph_.resize(edge_count_);
   edge_src_.resize(edge_count_);
   edge_dst_.resize(edge_count_);
@@ -31,6 +32,8 @@ FlatSpec::FlatSpec(const Specification& spec) : spec_(&spec) {
     for (int t = 0; t < graph.task_count(); ++t) {
       const int tid = task_base_[g] + t;
       task_graph_[tid] = g;
+      const TimeNs d = graph.effective_deadline(t);
+      deadline_[tid] = d == kNoTime ? kNoTime : graph.est() + d;
       for (int other : graph.task(t).exclusions)
         excl_[tid].push_back(task_base_[g] + other);
     }
@@ -66,13 +69,6 @@ FlatSpec::FlatSpec(const Specification& spec) : spec_(&spec) {
     mix(edge_dst_[eid]);
   }
   fingerprint_ = h;
-}
-
-TimeNs FlatSpec::absolute_deadline(int tid) const {
-  const TaskGraph& g = graph(task_graph_[tid]);
-  const TimeNs d = g.effective_deadline(local_task(tid));
-  if (d == kNoTime) return kNoTime;
-  return g.est() + d;
 }
 
 }  // namespace crusade

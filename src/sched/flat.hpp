@@ -54,7 +54,7 @@ class FlatSpec {
   TimeNs est(int tid) const { return graph(task_graph_[tid]).est(); }
   /// Absolute deadline of the frame copy (graph EST + relative deadline), or
   /// kNoTime when the task carries no deadline.
-  TimeNs absolute_deadline(int tid) const;
+  TimeNs absolute_deadline(int tid) const { return deadline_[tid]; }
   TimeNs hyperperiod() const { return hyperperiod_; }
 
   /// Flat exclusion lists (within-graph exclusions mapped to flat ids).
@@ -74,6 +74,7 @@ class FlatSpec {
   std::vector<int> edge_src_, edge_dst_;
   std::vector<std::vector<int>> out_, in_, excl_;
   std::vector<int> topo_;
+  std::vector<TimeNs> deadline_;  ///< absolute_deadline per task
   TimeNs hyperperiod_ = 0;
   std::uint64_t fingerprint_ = 0;
 };

@@ -39,14 +39,22 @@ struct ReadyEntry {
   }
 };
 
+/// True once the running counters have reached `cutoff` (null: never).
+bool reached(const ScheduleCutoff* cutoff, int failures, TimeNs tardiness) {
+  return cutoff && ScheduleCutoff{failures, tardiness} >= *cutoff;
+}
+
 /// Finds the first list position where `problem` can behave differently
 /// from the problem recorded in `base` (the rules are listed at
 /// run_list_scheduler) and restores the base's state before it: task and
 /// edge times, counters, timeline prefixes, settled reboots and the record.
-/// Marks the restored pops in `popped`.
+/// A prefix position whose counters reach `cutoff` ends the restore there,
+/// so a cut call stops where it would without a base.  Marks the restored
+/// pops in `popped`.
 void restore_common_prefix(const ScheduleResult& base,
                            const SchedProblem& problem,
                            const PriorityLevels& levels,
+                           const ScheduleCutoff* cutoff,
                            const std::vector<char>& schedulable,
                            ScheduleResult& result,
                            std::vector<std::vector<TimeNs>>& reboot_finish,
@@ -54,6 +62,9 @@ void restore_common_prefix(const ScheduleResult& base,
   const FlatSpec& flat = *problem.flat;
   const ScheduleRecord& rec = base.record;
   const SchedProblem& old = rec.problem;
+  // A cut result's record stops at its cutoff and its closing counters
+  // were never reached: nothing after the cut may be restored from it.
+  CRUSADE_REQUIRE(!base.cut, "a cut schedule cannot be a base");
   CRUSADE_REQUIRE(rec.flat_fingerprint == flat.fingerprint() &&
                       old.task_resource.size() ==
                           problem.task_resource.size() &&
@@ -113,6 +124,11 @@ void restore_common_prefix(const ScheduleResult& base,
       }
     }
   }
+  for (int k = 0; k < at; ++k)
+    if (reached(cutoff, rec.steps[k].failures, rec.steps[k].tardiness)) {
+      at = k;
+      break;
+    }
 
   const ScheduleRecord::Step& state = rec.steps[at];
   for (int k = 0; k < at; ++k) {
@@ -164,7 +180,8 @@ bool ScheduleResult::deadline_met(int tid, const FlatSpec& flat) const {
 
 ScheduleResult run_list_scheduler(const SchedProblem& problem,
                                   const PriorityLevels& levels,
-                                  const ScheduleResult* base) {
+                                  const ScheduleResult* base,
+                                  const ScheduleCutoff* cutoff) {
   OBS_SPAN("sched.list");
   obs::count("sched.invocations");
   const FlatSpec& flat = *problem.flat;
@@ -208,9 +225,9 @@ ScheduleResult run_list_scheduler(const SchedProblem& problem,
 
   // Resume from the base's common prefix; from scratch that prefix is empty.
   std::vector<char> popped(n_tasks, 0);
-  if (base && !base->record.empty()) {
+  if (base && (base->cut || !base->record.empty())) {
     OBS_SPAN("sched.restore");
-    restore_common_prefix(*base, problem, levels, schedulable, result,
+    restore_common_prefix(*base, problem, levels, cutoff, schedulable, result,
                           reboot_finish, popped);
   }
 
@@ -264,6 +281,10 @@ ScheduleResult run_list_scheduler(const SchedProblem& problem,
   record.steps.reserve(static_cast<std::size_t>(n_tasks) + 1);
   record.appends.reserve(static_cast<std::size_t>(n_tasks + n_edges));
   while (!ready.empty()) {
+    if (reached(cutoff, result.placement_failures, result.total_tardiness)) {
+      result.cut = true;
+      break;
+    }
     const int tid = ready.top().tid;
     ready.pop();
     record.steps.push_back(snapshot(tid));
@@ -377,6 +398,12 @@ ScheduleResult run_list_scheduler(const SchedProblem& problem,
       result.total_tardiness += result.task_finish[tid] - deadline;
 
     release_successors();
+  }
+  if (result.cut) {
+    // Still one finish-time estimation to the caller's tally, which counts
+    // every call it makes whether or not the call was cut.
+    if (problem.task_optimistic) obs::count("sched.finish_estimates");
+    return result;
   }
   record.steps.push_back(snapshot(-1));
 

@@ -17,6 +17,7 @@
 // two pop orders and place only the rest (DESIGN.md §7 item 12).
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <vector>
 
@@ -116,10 +117,26 @@ struct ScheduleResult {
   std::vector<int> failed_edges;
   int scheduled_tasks = 0;
   bool feasible = false;  ///< all schedulable tasks placed, no tardiness
+  /// The call stopped at its cutoff (see ScheduleCutoff): the fields hold
+  /// the state before the first list position whose counters reached it,
+  /// the record holds the steps before that position and no closing entry,
+  /// and no finish times were estimated.  Never feasible, never a base.
+  bool cut = false;
   ScheduleRecord record;  ///< resume record (see run_list_scheduler)
 
   bool deadline_met(int tid, const FlatSpec& flat) const;
   bool operator==(const ScheduleResult&) const = default;
+};
+
+/// Where a list-scheduling call may stop placing: once its running counters
+/// (placement failures, then total tardiness, compared lexicographically)
+/// reach {failures, tardiness}.  Both counters only grow along the list,
+/// so a call that reaches its cutoff ends at or above it; a caller that
+/// throws away every such result loses nothing by stopping there.
+struct ScheduleCutoff {
+  int failures = 0;
+  TimeNs tardiness = 0;
+  auto operator<=>(const ScheduleCutoff&) const = default;
 };
 
 /// Runs the list scheduler; tasks whose ancestry is not fully allocated are
@@ -139,9 +156,17 @@ struct ScheduleResult {
 ///  - the first position where a newly schedulable task outranks the
 ///    base's pop.
 /// Resources compare by index, so inserting one changes every later one.
+/// A cut result is refused as a base.
+///
+/// With a `cutoff` the call stops before the first list position at which
+/// the running counters reach it and returns a cut result (see
+/// ScheduleResult::cut), the same one with or without a base.  A call that
+/// places every task without reaching it returns what a call without a
+/// cutoff returns.
 ScheduleResult run_list_scheduler(const SchedProblem& problem,
                                   const PriorityLevels& levels,
-                                  const ScheduleResult* base = nullptr);
+                                  const ScheduleResult* base = nullptr,
+                                  const ScheduleCutoff* cutoff = nullptr);
 
 /// Busy windows per task graph (tasks and edges), used to derive the
 /// compatibility matrix from a schedule (Figure 3).

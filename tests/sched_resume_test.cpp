@@ -8,6 +8,13 @@
 // specification, resumed pairwise in both directions — later bases over
 // earlier problems cover the removals that repair and evacuation make.
 // Crafted cases pin the restore rules one at a time.
+//
+// Cutoffs: the same architectures, plus those of four 0.10x inputs whose
+// repair makes moves, are scheduled with cutoffs taken from every
+// schedule's own per-position counters and, through cutoff_to_beat, from
+// every other commit's schedule.  A call is cut exactly before the first
+// list position whose counters reach the cutoff, and is then the uncut
+// call's prefix; otherwise it equals the uncut call.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -77,6 +84,91 @@ void expect_resume_exact(const SchedProblem& problem,
       << what << ": resumed differs at " << first_difference(resumed, scratch);
 }
 
+/// The first list position (closing entry excluded) whose counters in
+/// `uncut`'s record reach `cutoff`, or -1: where a call with that cutoff
+/// must stop.  Written out here rather than through ScheduleCutoff's
+/// ordering, so a stop rule that drifts from it fails.
+int expected_cut(const ScheduleResult& uncut, const ScheduleCutoff& cutoff) {
+  const auto& steps = uncut.record.steps;
+  for (std::size_t k = 0; k + 1 < steps.size(); ++k)
+    if (steps[k].failures > cutoff.failures ||
+        (steps[k].failures == cutoff.failures &&
+         steps[k].tardiness >= cutoff.tardiness))
+      return static_cast<int>(k);
+  return -1;
+}
+
+/// Checks `cut`, a call with `cutoff`, against `uncut`, the from-scratch
+/// call without one.  Returns whether the call was cut.
+bool expect_cut_exact(const ScheduleResult& cut, const ScheduleCutoff& cutoff,
+                      const ScheduleResult& uncut, const std::string& what) {
+  const int at = expected_cut(uncut, cutoff);
+  if (at < 0) {
+    EXPECT_TRUE(cut == uncut) << what << ": a call that is not cut differs at "
+                              << first_difference(cut, uncut);
+    return false;
+  }
+  const ScheduleRecord::Step& step = uncut.record.steps[at];
+  EXPECT_TRUE(cut.cut) << what << ": not cut at position " << at;
+  EXPECT_FALSE(cut.feasible) << what;
+  EXPECT_EQ(cut.placement_failures, step.failures) << what;
+  EXPECT_EQ(cut.total_tardiness, step.tardiness) << what;
+  EXPECT_EQ(cut.scheduled_tasks, step.scheduled) << what;
+  EXPECT_TRUE(cut.record.steps.size() == static_cast<std::size_t>(at) &&
+              std::equal(cut.record.steps.begin(), cut.record.steps.end(),
+                         uncut.record.steps.begin()))
+      << what << ": the cut record is not the uncut record's first " << at
+      << " steps";
+  return true;
+}
+
+/// Cuts every problem at each distinct counter pair its own schedule
+/// records, and at cutoff_to_beat of every other commit's schedule, resumed
+/// from that schedule as repair resumes from the committed one.  A call cut
+/// at another schedule's cutoff must not have beaten that schedule.
+void check_cutoffs(const std::vector<SchedProblem>& problems,
+                   const std::vector<ScheduleResult>& scratch,
+                   const PriorityLevels& levels, const std::string& name) {
+  int cuts = 0;
+  for (std::size_t i = 0; i < problems.size(); ++i) {
+    const std::string what = name + " commit " + std::to_string(i);
+    std::vector<ScheduleCutoff> own;
+    for (const ScheduleRecord::Step& step : scratch[i].record.steps)
+      own.push_back({step.failures, step.tardiness});
+    std::sort(own.begin(), own.end());
+    own.erase(std::unique(own.begin(), own.end()), own.end());
+    // From scratch, and resumed from the schedule itself, whose restore
+    // must stop where the counters reach the cutoff.
+    for (const ScheduleCutoff& cutoff : own) {
+      const std::string at_own = what + " at its own counters " +
+                                 std::to_string(cutoff.failures) + "/" +
+                                 std::to_string(cutoff.tardiness);
+      const ScheduleResult cut =
+          run_list_scheduler(problems[i], levels, nullptr, &cutoff);
+      cuts += expect_cut_exact(cut, cutoff, scratch[i], at_own);
+      const ScheduleResult resumed =
+          run_list_scheduler(problems[i], levels, &scratch[i], &cutoff);
+      EXPECT_TRUE(resumed == cut) << at_own << ": resumed differs at "
+                                  << first_difference(resumed, cut);
+    }
+    for (std::size_t j = 0; j < problems.size(); ++j) {
+      if (j == i) continue;
+      const std::string against = what + " against commit " +
+                                  std::to_string(j);
+      const ScheduleCutoff cutoff = cutoff_to_beat(scratch[j]);
+      if (expect_cut_exact(
+              run_list_scheduler(problems[i], levels, &scratch[j], &cutoff),
+              cutoff, scratch[i], against)) {
+        ++cuts;
+        EXPECT_FALSE(schedule_beats(scratch[i], scratch[j]))
+            << against << ": cut, but the uncut schedule beats it";
+      }
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_GT(cuts, 0) << name;
+}
+
 /// From scratch == reference, and resumed from `base` == from scratch.
 void expect_all_exact(const SchedProblem& problem,
                       const PriorityLevels& levels, const ScheduleResult& base,
@@ -92,43 +184,66 @@ void expect_all_exact(const SchedProblem& problem,
 
 // --- seeded workloads: every committed architecture, pairwise ------------
 
+/// Every architecture the allocator commits while synthesizing `spec`, and
+/// what scheduling them needs, as the allocator builds it.
+struct Commits {
+  std::vector<Architecture> archs;
+  std::vector<int> task_cluster;
+  std::unique_ptr<FlatSpec> flat;  // heap: the problems point at it
+  PriorityLevels levels;
+  std::vector<TimeNs> optimistic;
+
+  /// The scheduling problem of commit `k`.
+  SchedProblem problem(std::size_t k, bool reboots) const {
+    SchedProblem p = make_sched_problem(
+        archs[k], *flat, task_cluster,
+        [](const PeType& type, int pfus) {
+          return estimate_boot_time(type, pfus);
+        },
+        reboots);
+    p.task_optimistic = &optimistic;
+    return p;
+  }
+};
+
+Commits committed(const Specification& spec, bool reconfig) {
+  Commits c;
+  CrusadeParams params;
+  params.enable_reconfig = reconfig;
+  params.progress_hook = [&](const AllocState& state) {
+    c.archs.push_back(state.arch);
+  };
+  c.task_cluster = Crusade(spec, lib(), params).run().task_cluster;
+  c.flat = std::make_unique<FlatSpec>(spec);
+  c.levels = scheduling_levels(*c.flat, lib());
+  c.optimistic.assign(c.flat->task_count(), 0);
+  for (int tid = 0; tid < c.flat->task_count(); ++tid) {
+    const Task& t = c.flat->task(tid);
+    for (PeTypeId pe = 0; pe < lib().pe_count(); ++pe)
+      if (t.feasible_on(pe) &&
+          (c.optimistic[tid] == 0 || t.exec[pe] < c.optimistic[tid]))
+        c.optimistic[tid] = t.exec[pe];
+  }
+  return c;
+}
+
 /// Every architecture the allocator commits while synthesizing `spec`, then
 /// every ordered pair resumed both ways; with reconfiguration under both
 /// reboot semantics (the allocator's, which charges none, and the frame
 /// schedule's, whose mode_boot grows with every new mode).
 void check_committed_pairs(const Specification& spec, bool reconfig,
                            const std::string& name) {
-  std::vector<Architecture> commits;
-  CrusadeParams params;
-  params.enable_reconfig = reconfig;
-  params.progress_hook = [&](const AllocState& state) {
-    commits.push_back(state.arch);
-  };
-  const CrusadeResult result = Crusade(spec, lib(), params).run();
+  const Commits c = committed(spec, reconfig);
+  const std::vector<Architecture>& commits = c.archs;
   ASSERT_GE(commits.size(), 2u) << name;
-
-  const FlatSpec flat(spec);
-  const PriorityLevels levels = scheduling_levels(flat, lib());
-  std::vector<TimeNs> optimistic(flat.task_count(), 0);
-  for (int tid = 0; tid < flat.task_count(); ++tid) {
-    const Task& t = flat.task(tid);
-    for (PeTypeId pe = 0; pe < lib().pe_count(); ++pe)
-      if (t.feasible_on(pe) &&
-          (optimistic[tid] == 0 || t.exec[pe] < optimistic[tid]))
-        optimistic[tid] = t.exec[pe];
-  }
-  const BootEstimator boot = [](const PeType& type, int pfus) {
-    return estimate_boot_time(type, pfus);
-  };
+  const PriorityLevels& levels = c.levels;
 
   for (bool reboots : {true, false}) {
     if (!reboots && !reconfig) break;  // single-mode: the same problems
     std::vector<SchedProblem> problems;
     std::vector<ScheduleResult> scratch;
-    for (const Architecture& arch : commits) {
-      problems.push_back(
-          make_sched_problem(arch, flat, result.task_cluster, boot, reboots));
-      problems.back().task_optimistic = &optimistic;
+    for (std::size_t k = 0; k < commits.size(); ++k) {
+      problems.push_back(c.problem(k, reboots));
       scratch.push_back(run_list_scheduler(problems.back(), levels));
       ASSERT_TRUE(without_record(scratch.back()) ==
                   reference::run_list_scheduler(problems.back(), levels))
@@ -142,6 +257,8 @@ void check_committed_pairs(const Specification& spec, bool reconfig,
                             name + (reboots ? " reboots" : "") + " commit " +
                                 std::to_string(base) + " -> " +
                                 std::to_string(next));
+    check_cutoffs(problems, scratch, levels,
+                  name + (reboots ? " reboots" : ""));
   }
 }
 
@@ -159,6 +276,45 @@ INSTANTIATE_TEST_SUITE_P(Table2Profiles, SchedResumeOracle,
                          ::testing::Values("A1TR", "VDRTX", "HROST",
                                            "EST189A", "HRXC", "ADMR", "B192G",
                                            "NGXM"));
+
+/// golden_test's 0.10x inputs whose repair makes moves: each commit cut at
+/// its own counters and at every other commit's cutoff_to_beat, under the
+/// reboot semantics the allocator schedules with.
+struct RepairInput {
+  const char* profile;
+  bool reconfig;
+};
+
+void PrintTo(const RepairInput& in, std::ostream* os) {
+  *os << in.profile << (in.reconfig ? "" : " without reconfiguration");
+}
+
+class SchedCutoffRepairInputs : public ::testing::TestWithParam<RepairInput> {
+};
+
+TEST_P(SchedCutoffRepairInputs, CutsExactlyWhereCountersReachTheCutoff) {
+  const RepairInput& in = GetParam();
+  const Specification spec = SpecGenerator(lib()).generate(
+      profile_config(profile_by_name(in.profile), 0.10));
+  const Commits c = committed(spec, in.reconfig);
+  ASSERT_GE(c.archs.size(), 2u);
+  std::vector<SchedProblem> problems;
+  std::vector<ScheduleResult> scratch;
+  for (std::size_t k = 0; k < c.archs.size(); ++k) {
+    problems.push_back(c.problem(k, /*reboots=*/!in.reconfig));
+    scratch.push_back(run_list_scheduler(problems.back(), c.levels));
+  }
+  check_cutoffs(problems, scratch, c.levels, in.profile);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Golden, SchedCutoffRepairInputs,
+    ::testing::Values(RepairInput{"VDRTX", true}, RepairInput{"VDRTX", false},
+                      RepairInput{"ADMR", true}, RepairInput{"HRXC", false}),
+    [](const ::testing::TestParamInfo<RepairInput>& info) {
+      return std::string(info.param.profile) +
+             (info.param.reconfig ? "_Reconfig" : "_NoReconfig");
+    });
 
 TEST(SchedResumeOracleFt, FtTransformedCommitsResumeExactlyBothWays) {
   SpecGenerator generator(lib());
@@ -355,6 +511,33 @@ TEST(SchedResumeCrafted, EqualPriorityTieBrokenByTaskId) {
   SchedProblem higher = middle;
   higher.task_resource[3] = 0;
   expect_all_exact(higher, c.levels, base, "higher id");
+}
+
+TEST(SchedResumeCrafted, CutResultIsRefusedAsBase) {
+  // Task 0 fills resource 0's whole period, so task 1 fails there; task 2
+  // has resource 1 to itself.
+  Crafted c = crafted(3, 0, {});
+  c.problem.resources = {serial(), serial()};
+  c.problem.task_resource = {0, 0, 1};
+  c.problem.task_exec[0] = kMillisecond;
+  const ScheduleResult uncut = run_list_scheduler(c.problem, c.levels);
+  ASSERT_EQ(uncut.placement_failures, 1);
+
+  // Cut before the first pop (empty record) and after the failure.
+  for (const ScheduleCutoff cutoff : {ScheduleCutoff{0, 0},
+                                      ScheduleCutoff{1, 0}}) {
+    const ScheduleResult cut =
+        run_list_scheduler(c.problem, c.levels, nullptr, &cutoff);
+    ASSERT_TRUE(cut.cut);
+    EXPECT_FALSE(cut.feasible);
+    EXPECT_EQ(cut.record.steps.size(), cutoff.failures == 0 ? 0u : 2u);
+    EXPECT_THROW(run_list_scheduler(c.problem, c.levels, &cut), Error);
+    EXPECT_THROW(run_list_scheduler(c.problem, c.levels, &cut, &cutoff),
+                 Error);
+  }
+  // A cutoff the call never reaches cuts nothing.
+  const ScheduleCutoff far{2, 0};
+  EXPECT_TRUE(run_list_scheduler(c.problem, c.levels, &uncut, &far) == uncut);
 }
 
 TEST(SchedResumeCrafted, BaseFromOtherLevelsOrSpecIsRejected) {

@@ -470,7 +470,8 @@ ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=print_stacktrace=1 \
 stage_ok
 
 stage "chaos availability bench (BENCH_chaos.json parse-back)"
-(cd build-ci && CRUSADE_SCALE=0.25 ./bench/chaos_availability > /dev/null)
+CRUSADE_SCALE=0.25 ./build-ci/bench/chaos_availability build-ci/BENCH_chaos.json \
+  > /dev/null
 if command -v python3 >/dev/null 2>&1; then
   python3 - build-ci/BENCH_chaos.json <<'EOF'
 import json, sys
