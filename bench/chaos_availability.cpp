@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -67,7 +68,8 @@ RatePoint run_rate(const std::string& base_spec, double fault_rate,
       "/tmp/crusaded.bench.chaos." + std::to_string(point_index);
   // A previous faulted run can leave recovered-able frames behind; start
   // each rate from an empty spool so the books cover only this sweep.
-  (void)std::system(("rm -rf " + config.spool_dir).c_str());
+  std::error_code ec;
+  std::filesystem::remove_all(config.spool_dir, ec);
   config.workers = 4;
   config.queue_capacity = 64;
   if (fault_rate > 0) {
@@ -120,6 +122,7 @@ RatePoint run_rate(const std::string& base_spec, double fault_rate,
     }
   }
   service.stop(true);
+  std::filesystem::remove_all(config.spool_dir, ec);
   point.injected = iofault::counters().total;
   iofault::disarm();
   iofault::reset_counters();

@@ -8,8 +8,12 @@
 // re-arbitrate resources.  Injected delays (link retries, reconfiguration
 // reboots, spare failover) consume schedule slack and are judged purely
 // against deadlines; a delayed task never displaces another task's window.
-// This keeps each scenario O(task copies) and bit-deterministic, at the
-// documented cost of ignoring second-order contention (DESIGN.md §12).
+// This keeps each scenario bit-deterministic, at the documented cost of
+// ignoring second-order contention.  No state crosses frames, so a graph's
+// frames fall into runs that replay identically: one frame stands for each
+// run, and only the few frames the fault can reach replay one by one.  A
+// scenario costs O(tasks x (runs + reachable frames)), whatever the number
+// of task copies per hyperperiod (DESIGN.md §12).
 #pragma once
 
 #include <cstdint>
@@ -68,6 +72,8 @@ struct FaultScenario {
   int frame = 0;
   TimeNs at = 0;  ///< PeDeath: failure instant within the hyperperiod
   int drops = 0;  ///< LinkLoss / ReconfigRetry: consecutive failures
+
+  bool operator==(const FaultScenario&) const = default;
 };
 
 struct ScenarioOutcome {
@@ -78,12 +84,15 @@ struct ScenarioOutcome {
   int checker_task = -1;  ///< flat id of the check task that observed it
   int checker_pe = -1;    ///< PE hosting that checker
   int faulted_pe = -1;    ///< PE hosting the faulted task / the dead PE
-  int deadline_misses = 0;
-  int frames_lost = 0;  ///< task copies that never produced output
-  int retries = 0;      ///< link retransmissions consumed
+  /// Counted per task copy over the hyperperiod, which can pass 2^31.
+  std::int64_t deadline_misses = 0;
+  std::int64_t frames_lost = 0;  ///< task copies that never produced output
+  int retries = 0;               ///< link retransmissions consumed
   TimeNs worst_boot = 0;  ///< worst observed reconfiguration latency
   std::vector<int> affected_graphs;  ///< graphs with misses or lost copies
   std::string detail;  ///< one-line human-readable explanation
+
+  bool operator==(const ScenarioOutcome&) const = default;
 };
 
 /// Everything the simulator needs, decoupled from CrusadeFtResult so

@@ -11,7 +11,8 @@
 #   5. cppcheck over the same sources (skipped when not installed)
 #   6. kill/resume smoke: `crusade soak` SIGKILLs synthesis children at
 #      random points and asserts resumed runs finish bit-identical
-#   7. survivability smoke: fixed-seed `crusade survive` campaign run twice,
+#   7. survivability smoke: fixed-seed `crusade survive` campaigns on
+#      figure2 and on a generated many-frame HROST spec, each run twice,
 #      JSON byte-identical, strict parse-back (0 FT-LIE, transients cross-PE)
 #   8. boot-time fsck smoke: `crusaded --fsck` over a deliberately corrupted
 #      spool — dry-run classifies without touching disk, the repair pass
@@ -313,26 +314,37 @@ stage "kill/resume smoke (crusade soak)"
 stage_ok
 
 stage "survivability smoke (crusade survive)"
-# Fixed-seed campaign, run twice: the JSON reports must be byte-identical
-# (no wall-clock times, no nondeterminism), the campaign clean (exit 0 is
-# the no-FT-LIE verdict), and every transient caught cross-PE.
-./build-ci/tools/crusade survive data/figure2.spec --seeds 150 --json \
-  > build-ci/survive.json
-./build-ci/tools/crusade survive data/figure2.spec --seeds 150 --json \
-  > build-ci/survive-rerun.json
-cmp build-ci/survive.json build-ci/survive-rerun.json
+# Fixed-seed campaigns, each run twice: the JSON reports must be
+# byte-identical (no wall-clock times, no nondeterminism), the campaign
+# clean (exit 0 is the no-FT-LIE verdict), and every transient caught
+# cross-PE.  The generated HROST spec's fastest graph has 2.4 million
+# frames per hyperperiod, so it keeps the run-length replay (DESIGN.md §12)
+# exercised at a size the copy-by-copy replay could not afford.  It keeps
+# reconfiguration on: its written spec is infeasible without it.
+./build-ci/tools/crusade generate --profile HROST --scale 0.25 \
+  -o build-ci/survive-hrost.spec > /dev/null
+survive_twice() {  # <spec> <seeds> <report name>
+  ./build-ci/tools/crusade survive "$1" --seeds "$2" --json \
+    > "build-ci/$3.json"
+  ./build-ci/tools/crusade survive "$1" --seeds "$2" --json \
+    > "build-ci/$3-rerun.json"
+  cmp "build-ci/$3.json" "build-ci/$3-rerun.json"
+}
+survive_twice data/figure2.spec 150 survive
+survive_twice build-ci/survive-hrost.spec 100 survive-hrost
 if command -v python3 >/dev/null 2>&1; then
-  python3 - build-ci/survive.json <<'EOF'
+  python3 - build-ci/survive.json build-ci/survive-hrost.json <<'EOF'
 import json, sys
-doc = json.load(open(sys.argv[1]))
-assert doc["feasible"], "figure2 must synthesize under CRUSADE-FT"
-assert doc["scenarios"] == doc["seeds"] + 1, doc["scenarios"]
-assert doc["ft_lies"] == 0, f'{doc["ft_lies"]} FT-LIE verdicts'
-assert doc["masked"] + doc["degraded_honest"] == doc["scenarios"]
-assert doc["transients_cross_pe"] == doc["transients"], \
-    "transient caught by a checker on the faulted PE"
-for out in doc["outcomes"]:
-    assert out["verdict"] in ("masked", "degraded-honest"), out
+for path in sys.argv[1:]:
+    doc = json.load(open(path))
+    assert doc["feasible"], f"{path}: must synthesize under CRUSADE-FT"
+    assert doc["scenarios"] == doc["seeds"] + 1, (path, doc["scenarios"])
+    assert doc["ft_lies"] == 0, f'{path}: {doc["ft_lies"]} FT-LIE verdicts'
+    assert doc["masked"] + doc["degraded_honest"] == doc["scenarios"], path
+    assert doc["transients_cross_pe"] == doc["transients"], \
+        f"{path}: transient caught by a checker on the faulted PE"
+    for out in doc["outcomes"]:
+        assert out["verdict"] in ("masked", "degraded-honest"), (path, out)
 EOF
   echo "survive JSON: deterministic, clean, transients all cross-PE (python3)"
   stage_ok

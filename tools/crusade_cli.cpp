@@ -461,8 +461,9 @@ int cmd_survive(int argc, char** argv) {
           .key("checker_task").value(o.checker_task)
           .key("checker_pe").value(o.checker_pe)
           .key("faulted_pe").value(o.faulted_pe)
-          .key("deadline_misses").value(o.deadline_misses)
-          .key("frames_lost").value(o.frames_lost)
+          .key("deadline_misses")
+          .value(static_cast<long long>(o.deadline_misses))
+          .key("frames_lost").value(static_cast<long long>(o.frames_lost))
           .key("retries").value(o.retries)
           .key("worst_boot_ns").value(static_cast<long long>(o.worst_boot))
           .key("detail").value(o.detail)
