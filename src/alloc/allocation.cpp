@@ -45,6 +45,7 @@ SchedProblem make_sched_problem(const Architecture& arch, const FlatSpec& flat,
     }
     problem.resources.push_back(std::move(info));
   }
+  problem.link_base = pe_count;
   for (std::size_t l = 0; l < arch.links.size(); ++l)
     problem.resources.emplace_back();  // links: serial, non-preemptive
 
@@ -502,6 +503,10 @@ AllocationOutcome Allocator::run(const std::vector<Cluster>& clusters,
   std::size_t already = 0;
   for (char p : state.placed)
     if (p) ++already;
+  // Whether outcome.schedule is the schedule of state.arch: after a resume
+  // rebuilt it and after every commit, but not before the first commit of a
+  // fresh run or a field upgrade (a rejected cluster commits nothing).
+  bool schedule_current = resume != nullptr;
   std::vector<double> cluster_priority(clusters.size(), 0);
   PriorityLevels levels =
       current_priority_levels(state.arch, flat_, lib_, outcome.task_cluster,
@@ -526,10 +531,10 @@ AllocationOutcome Allocator::run(const std::vector<Cluster>& clusters,
   Architecture trial, best_arch;
 
   // Quality bar: a candidate must be no worse than the *baseline* — the
-  // current architecture re-scheduled with the current priority levels.
-  // Judging against the baseline rather than the previous commit's numbers
-  // isolates each cluster's marginal effect from list-order churn caused by
-  // priority recomputation.
+  // current architecture scheduled with the canonical levels.  Judging
+  // against the baseline rather than the previous commit's numbers isolates
+  // each cluster's marginal effect from list-order churn caused by priority
+  // recomputation.
   for (std::size_t step = already; step < clusters.size(); ++step) {
     int pick = -1;
     for (std::size_t c = 0; c < clusters.size(); ++c)
@@ -592,10 +597,26 @@ AllocationOutcome Allocator::run(const std::vector<Cluster>& clusters,
     }
 
     if (keep_going()) {
-      const ScheduleResult base_schedule = evaluate(state.arch, outcome);
-      state.committed_tardiness = base_schedule.total_tardiness;
-      state.committed_estimate = base_schedule.estimated_tardiness;
-      state.committed_failures = base_schedule.placement_failures;
+      ScheduleResult fresh;
+      if (schedule_current) {
+        // The baseline is the committed schedule, which scheduling state.arch
+        // again would reproduce (the levels are canonical).  It still counts
+        // as the evaluation and scheduler call it replaces, so budgets,
+        // checkpoints and every tally read as if it had been scheduled.
+        ++stats().sched_evals;
+        ++stats().sched_invocations;
+        ++stats().finish_estimates;
+        obs::count("alloc.sched_evals");
+        obs::count("sched.invocations");
+        obs::count("sched.finish_estimates");
+      } else {
+        fresh = evaluate(state.arch, outcome);
+      }
+      const ScheduleResult& baseline =
+          schedule_current ? outcome.schedule : fresh;
+      state.committed_tardiness = baseline.total_tardiness;
+      state.committed_estimate = baseline.estimated_tardiness;
+      state.committed_failures = baseline.placement_failures;
     }
 
     int best = -1;
@@ -631,6 +652,7 @@ AllocationOutcome Allocator::run(const std::vector<Cluster>& clusters,
     if (!accepted) ++state.clusters_with_misses;
     std::swap(state.arch, best_arch);
     outcome.schedule = std::move(best_schedule);
+    schedule_current = true;
     state.placed[pick] = 1;
 
     // Priorities shift once actual execution/communication times are known
@@ -662,7 +684,7 @@ ScheduleResult Allocator::schedule_architecture(
   problem.task_optimistic = &optimistic_exec_;
   ++stats().sched_invocations;
   ++stats().finish_estimates;
-  return run_list_scheduler(problem, sched_levels_, base, cutoff);
+  return run_list_scheduler(std::move(problem), sched_levels_, base, cutoff);
 }
 
 int Allocator::evacuate_devices(AllocationOutcome& outcome,

@@ -335,7 +335,7 @@ CrusadeResult Crusade::run() {
       SchedProblem problem =
           make_sched_problem(a, flat, result.task_cluster,
                              /*boot_estimate=*/{}, reboots_in_schedule);
-      return run_list_scheduler(problem, sched_levels);
+      return run_list_scheduler(std::move(problem), sched_levels);
     };
 
     const auto choices = enumerate_interface_options(

@@ -40,8 +40,11 @@ struct RunStats {
   // --- search-effort counters ---
   std::int64_t sched_evals = 0;        ///< allocator schedule evaluations
                                        ///< (run + repair + evacuation)
-  std::int64_t sched_invocations = 0;  ///< every list-scheduler call,
-                                       ///< all phases
+  /// Every list-scheduler call, all phases, plus each constructive
+  /// baseline the allocator answers from the committed schedule instead of
+  /// scheduling it again (it counts as the call it replaces, as it does in
+  /// sched_evals and finish_estimates).
+  std::int64_t sched_invocations = 0;
   std::int64_t finish_estimates = 0;   ///< finish-time estimation passes
   std::int64_t alloc_candidates = 0;   ///< allocation-array entries
                                        ///< enumerated

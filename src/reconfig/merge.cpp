@@ -195,7 +195,7 @@ MergeReport merge_modes(Architecture& arch, ScheduleResult& schedule,
     SchedProblem problem =
         make_sched_problem(a, flat, task_cluster, params.boot_estimate,
                            params.reboots_in_schedule);
-    return run_list_scheduler(problem, levels);
+    return run_list_scheduler(std::move(problem), levels);
   };
   auto budget_left = [&]() {
     if (params.control && params.control->should_stop()) {

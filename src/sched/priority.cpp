@@ -7,6 +7,10 @@
 
 namespace crusade {
 
+namespace {
+constexpr double kNone = -1e30;
+}  // namespace
+
 PriorityLevels priority_levels(const FlatSpec& flat,
                                const std::vector<TimeNs>& task_time,
                                const std::vector<TimeNs>& edge_time) {
@@ -16,35 +20,41 @@ PriorityLevels priority_levels(const FlatSpec& flat,
   CRUSADE_REQUIRE(edge_time.size() ==
                       static_cast<std::size_t>(flat.edge_count()),
                   "edge_time arity");
-  constexpr double kNone = -1e30;
   PriorityLevels levels;
   levels.task.assign(flat.task_count(), kNone);
   levels.edge.assign(flat.edge_count(), kNone);
-
-  // Reverse topological sweep: a deadline task contributes exec − deadline;
-  // interior tasks take the max over successors of exec + comm + π(succ).
   const auto& order = flat.topo_order();
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const int tid = *it;
-    const double w = static_cast<double>(task_time[tid]);
-    double best = kNone;
-    const TimeNs deadline = flat.absolute_deadline(tid);
-    if (deadline != kNoTime) best = w - static_cast<double>(deadline);
-    for (int eid : flat.out_edges(tid)) {
-      const int dst = flat.edge_dst(eid);
-      const double downstream = levels.task[dst];
-      if (downstream == kNone) continue;
-      const double via =
-          w + static_cast<double>(edge_time[eid]) + downstream;
-      best = std::max(best, via);
-      levels.edge[eid] = std::max(
-          levels.edge[eid], static_cast<double>(edge_time[eid]) + downstream);
-    }
-    levels.task[tid] = best;
-  }
+  for (auto it = order.rbegin(); it != order.rend(); ++it)
+    update_priority_level(flat, task_time, edge_time, *it, levels);
   // Tasks with no deadline anywhere downstream (possible in malformed or
   // partially built graphs) sink to the lowest urgency.
   return levels;
+}
+
+bool update_priority_level(const FlatSpec& flat,
+                           const std::vector<TimeNs>& task_time,
+                           const std::vector<TimeNs>& edge_time, int tid,
+                           PriorityLevels& levels) {
+  // A deadline task contributes exec − deadline; every task takes the max
+  // over successors of exec + comm + π(succ).
+  const double w = static_cast<double>(task_time[tid]);
+  double best = kNone;
+  const TimeNs deadline = flat.absolute_deadline(tid);
+  if (deadline != kNoTime) best = w - static_cast<double>(deadline);
+  for (int eid : flat.out_edges(tid)) {
+    const double downstream = levels.task[flat.edge_dst(eid)];
+    double edge = kNone;
+    if (downstream != kNone) {
+      const double via =
+          w + static_cast<double>(edge_time[eid]) + downstream;
+      best = std::max(best, via);
+      edge = std::max(edge, static_cast<double>(edge_time[eid]) + downstream);
+    }
+    levels.edge[eid] = edge;
+  }
+  const bool changed = levels.task[tid] != best;
+  levels.task[tid] = best;
+  return changed;
 }
 
 std::vector<TimeNs> default_task_times(const FlatSpec& flat,

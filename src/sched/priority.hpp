@@ -29,6 +29,16 @@ PriorityLevels priority_levels(const FlatSpec& flat,
                                const std::vector<TimeNs>& task_time,
                                const std::vector<TimeNs>& edge_time);
 
+/// Recomputes the level of task `tid` and of its out-edges from its
+/// successors' levels in `levels`: the step priority_levels takes for every
+/// task in reverse topological order.  Returns whether the task's level
+/// changed, so a caller that changed a few time estimates can update only
+/// the tasks upstream of them (cluster_tasks).
+bool update_priority_level(const FlatSpec& flat,
+                           const std::vector<TimeNs>& task_time,
+                           const std::vector<TimeNs>& edge_time, int tid,
+                           PriorityLevels& levels);
+
 /// Default (pre-allocation) estimates from §2.2: max feasible execution time
 /// per task and the worst communication vector entry per edge.
 std::vector<TimeNs> default_task_times(const FlatSpec& flat,

@@ -44,21 +44,32 @@ bool reached(const ScheduleCutoff* cutoff, int failures, TimeNs tardiness) {
   return cutoff && ScheduleCutoff{failures, tardiness} >= *cutoff;
 }
 
-/// Finds the first list position where `problem` can behave differently
-/// from the problem recorded in `base` (the rules are listed at
-/// run_list_scheduler) and restores the base's state before it: task and
-/// edge times, counters, timeline prefixes, settled reboots and the record.
-/// A prefix position whose counters reach `cutoff` ends the restore there,
-/// so a cut call stops where it would without a base.  Marks the restored
-/// pops in `popped`.
-void restore_common_prefix(const ScheduleResult& base,
-                           const SchedProblem& problem,
-                           const PriorityLevels& levels,
-                           const ScheduleCutoff* cutoff,
-                           const std::vector<char>& schedulable,
-                           ScheduleResult& result,
-                           std::vector<std::vector<TimeNs>>& reboot_finish,
-                           std::vector<char>& popped) {
+/// A task is schedulable iff it and its whole ancestry are allocated.
+std::vector<char> schedulable_tasks(const SchedProblem& problem) {
+  const FlatSpec& flat = *problem.flat;
+  std::vector<char> schedulable(flat.task_count(), 0);
+  for (int tid : flat.topo_order()) {
+    if (problem.task_resource[tid] < 0) continue;
+    bool ok = true;
+    for (int eid : flat.in_edges(tid))
+      if (!schedulable[flat.edge_src(eid)]) ok = false;
+    schedulable[tid] = ok ? 1 : 0;
+  }
+  return schedulable;
+}
+
+/// The resource of `to` that plays resource `r` of `from`, or -1: PE p is
+/// PE p and link l is link l (see resume_point).
+int counterpart(int r, const SchedProblem& from, const SchedProblem& to) {
+  if (r < from.link_base) return r < to.link_base ? r : -1;
+  const int twin = to.link_base + (r - from.link_base);
+  return twin < static_cast<int>(to.resources.size()) ? twin : -1;
+}
+
+/// resume_point with the problem's schedulable tasks already known.
+int find_resume_point(const ScheduleResult& base, const SchedProblem& problem,
+                      const PriorityLevels& levels,
+                      const std::vector<char>& schedulable) {
   const FlatSpec& flat = *problem.flat;
   const ScheduleRecord& rec = base.record;
   const SchedProblem& old = rec.problem;
@@ -73,25 +84,28 @@ void restore_common_prefix(const ScheduleResult& base,
   CRUSADE_REQUIRE(rec.levels == levels.task,
                   "base schedule was built with other priority levels");
 
-  // Resources match by index (PE and link instances keep theirs while an
-  // allocator runs; a new PE shifts the links, whose pops then diverge).
+  // Per resource: its counterpart in the old problem, or -1 when it has
+  // none or its SchedResourceInfo changed.
   const int n_res = static_cast<int>(problem.resources.size());
-  const int n_same = std::min(n_res, static_cast<int>(old.resources.size()));
-  std::vector<char> same_info(n_res, 0);
-  for (int r = 0; r < n_same; ++r)
-    same_info[r] = problem.resources[r] == old.resources[r];
+  std::vector<int> unchanged(n_res, -1);
+  for (int r = 0; r < n_res; ++r) {
+    const int o = counterpart(r, problem, old);
+    if (o >= 0 && problem.resources[r] == old.resources[o]) unchanged[r] = o;
+  }
 
   auto same_task = [&](int tid) {
     if (!schedulable[tid]) return false;
-    const int r = problem.task_resource[tid];
-    return same_info[r] && r == old.task_resource[tid] &&
+    const int o = unchanged[problem.task_resource[tid]];
+    return o >= 0 && o == old.task_resource[tid] &&
            problem.task_mode[tid] == old.task_mode[tid] &&
            problem.task_exec[tid] == old.task_exec[tid];
   };
   auto same_edge = [&](int eid) {
     const int link = problem.edge_resource[eid];
-    return problem.edge_comm[eid] == old.edge_comm[eid] &&
-           link == old.edge_resource[eid] && (link < 0 || same_info[link]);
+    if (problem.edge_comm[eid] != old.edge_comm[eid]) return false;
+    if (link < 0) return old.edge_resource[eid] < 0;
+    const int o = unchanged[link];
+    return o >= 0 && o == old.edge_resource[eid];
   };
 
   const int len = static_cast<int>(rec.steps.size()) - 1;  // closing entry
@@ -124,6 +138,26 @@ void restore_common_prefix(const ScheduleResult& base,
       }
     }
   }
+  return at;
+}
+
+/// Restores `base`'s state before its resume point: task and edge times,
+/// counters, timeline prefixes, settled reboots and the record, each
+/// window, append and reboot moved to its resource's index in `problem`.
+/// A prefix position whose counters reach `cutoff` ends the restore there,
+/// so a cut call stops where it would without a base.  Marks the restored
+/// pops in `popped`.
+void restore_common_prefix(const ScheduleResult& base,
+                           const SchedProblem& problem,
+                           const PriorityLevels& levels,
+                           const ScheduleCutoff* cutoff,
+                           const std::vector<char>& schedulable,
+                           ScheduleResult& result,
+                           std::vector<std::vector<TimeNs>>& reboot_finish,
+                           std::vector<char>& popped) {
+  const FlatSpec& flat = *problem.flat;
+  const ScheduleRecord& rec = base.record;
+  int at = find_resume_point(base, problem, levels, schedulable);
   for (int k = 0; k < at; ++k)
     if (reached(cutoff, rec.steps[k].failures, rec.steps[k].tardiness)) {
       at = k;
@@ -148,22 +182,29 @@ void restore_common_prefix(const ScheduleResult& base,
   result.total_tardiness = state.tardiness;
 
   // Every restored window and reboot sits on a resource a prefix pop used
-  // unchanged, so it exists in the new problem with the same modes.
+  // unchanged, so its counterpart exists in the new problem with the same
+  // modes.
+  const int n_old = static_cast<int>(rec.problem.resources.size());
+  std::vector<int> twin(n_old);
+  for (int r = 0; r < n_old; ++r)
+    twin[r] = counterpart(r, rec.problem, problem);
   ScheduleRecord& out = result.record;
   out.steps.assign(rec.steps.begin(), rec.steps.begin() + at);
-  out.appends.assign(rec.appends.begin(), rec.appends.begin() + state.appends);
-  std::vector<std::size_t> kept(n_same, 0);
-  for (int r : out.appends) {
-    CRUSADE_REQUIRE(r < n_same, "restored window has no resource");
+  out.appends.resize(state.appends);
+  std::vector<std::size_t> kept(n_old, 0);
+  for (int i = 0; i < state.appends; ++i) {
+    const int r = rec.appends[i];
+    CRUSADE_REQUIRE(twin[r] >= 0, "restored window has no resource");
+    out.appends[i] = twin[r];
     ++kept[r];
   }
-  for (int r = 0; r < n_same; ++r)
+  for (int r = 0; r < n_old; ++r)
     if (kept[r] > 0)
-      result.timelines[r].assign_prefix(base.timelines[r], kept[r]);
-  for (const ScheduleRecord::Reboot& reboot : rec.reboots) {
+      result.timelines[twin[r]].assign_prefix(base.timelines[r], kept[r]);
+  for (ScheduleRecord::Reboot reboot : rec.reboots) {
     if (reboot.step >= at) break;  // recorded in list order
-    CRUSADE_REQUIRE(reboot.resource < n_same,
-                    "restored reboot has no resource");
+    reboot.resource = twin[reboot.resource];
+    CRUSADE_REQUIRE(reboot.resource >= 0, "restored reboot has no resource");
     reboot_finish[reboot.resource][reboot.mode] = reboot.finish;
     out.reboots.push_back(reboot);
   }
@@ -178,7 +219,12 @@ bool ScheduleResult::deadline_met(int tid, const FlatSpec& flat) const {
   return task_finish[tid] <= d;
 }
 
-ScheduleResult run_list_scheduler(const SchedProblem& problem,
+int resume_point(const ScheduleResult& base, const SchedProblem& problem,
+                 const PriorityLevels& levels) {
+  return find_resume_point(base, problem, levels, schedulable_tasks(problem));
+}
+
+ScheduleResult run_list_scheduler(SchedProblem problem,
                                   const PriorityLevels& levels,
                                   const ScheduleResult* base,
                                   const ScheduleCutoff* cutoff) {
@@ -193,6 +239,10 @@ ScheduleResult run_list_scheduler(const SchedProblem& problem,
   CRUSADE_REQUIRE(problem.edge_resource.size() ==
                       static_cast<std::size_t>(n_edges),
                   "edge_resource arity");
+  CRUSADE_REQUIRE(problem.link_base >= 0 &&
+                      problem.link_base <=
+                          static_cast<int>(problem.resources.size()),
+                  "link_base out of range");
 
   ScheduleResult result;
   result.task_start.assign(n_tasks, kNoTime);
@@ -201,21 +251,16 @@ ScheduleResult run_list_scheduler(const SchedProblem& problem,
   result.edge_finish.assign(n_edges, kNoTime);
   result.timelines.resize(problem.resources.size());
   ScheduleRecord& record = result.record;
-  record.problem = problem;
-  record.problem.flat = nullptr;
-  record.problem.task_optimistic = nullptr;
   record.flat_fingerprint = flat.fingerprint();
   record.levels = levels.task;
+  // The problem goes into the record once the call no longer reads it.
+  auto keep_problem = [&] {
+    record.problem = std::move(problem);
+    record.problem.flat = nullptr;
+    record.problem.task_optimistic = nullptr;
+  };
 
-  // A task is schedulable iff it and its whole ancestry are allocated.
-  std::vector<char> schedulable(n_tasks, 0);
-  for (int tid : flat.topo_order()) {
-    if (problem.task_resource[tid] < 0) continue;
-    bool ok = true;
-    for (int eid : flat.in_edges(tid))
-      if (!schedulable[flat.edge_src(eid)]) ok = false;
-    schedulable[tid] = ok ? 1 : 0;
-  }
+  const std::vector<char> schedulable = schedulable_tasks(problem);
 
   // Reboot pseudo-tasks: placed lazily, the first time a (resource, mode)
   // pair is touched.  reboot_finish < 0 means "not yet placed".
@@ -403,6 +448,7 @@ ScheduleResult run_list_scheduler(const SchedProblem& problem,
     // Still one finish-time estimation to the caller's tally, which counts
     // every call it makes whether or not the call was cut.
     if (problem.task_optimistic) obs::count("sched.finish_estimates");
+    keep_problem();
     return result;
   }
   record.steps.push_back(snapshot(-1));
@@ -442,6 +488,7 @@ ScheduleResult run_list_scheduler(const SchedProblem& problem,
 
   result.feasible =
       result.placement_failures == 0 && result.total_tardiness == 0;
+  keep_problem();
   return result;
 }
 

@@ -51,6 +51,12 @@ struct SchedProblem {
   std::vector<TimeNs> task_exec;   ///< execution time on its resource
   std::vector<int> edge_resource;  ///< per edge: link id, -1 = intra-PE
   std::vector<TimeNs> edge_comm;   ///< communication time (0 when intra-PE)
+  /// PE resources first, then link resources: link l is resource
+  /// `link_base + l`.  Resuming matches PE p to PE p and link l to link l
+  /// across two problems, so a problem with one PE more still restores its
+  /// links' windows.  make_sched_problem sets it to the PE count; a problem
+  /// built by hand keeps 0, which matches every resource by index.
+  int link_base = 0;
   std::vector<SchedResourceInfo> resources;
   /// Optimistic (admissible) execution estimates for tasks that are not yet
   /// allocated, used by the longest-path finish-time estimation pass (§5).
@@ -144,29 +150,44 @@ struct ScheduleCutoff {
 ///
 /// With a `base` (a result of an earlier call over the same FlatSpec and
 /// levels; a default-constructed result counts as none) the call resumes:
-/// it finds the first list position where `problem` can behave differently
-/// from the base's problem, restores the base's state before it, and places
-/// only the remaining tasks.  The result, resume record included, equals a
-/// call without a base.  The divergence point is the earliest of:
-///  - the first pop of a task whose resource, mode or exec time changed, or
-///    that is no longer schedulable;
-///  - the first pop of a task whose resource's SchedResourceInfo changed;
-///  - the first pop of the destination of an edge whose link or comm time
-///    changed;
-///  - the first position where a newly schedulable task outranks the
-///    base's pop.
-/// Resources compare by index, so inserting one changes every later one.
-/// A cut result is refused as a base.
+/// it finds resume_point(), restores the base's state before it (its
+/// windows, appends and reboots moved to the new problem's resource
+/// indices), and places only the remaining tasks.  The result, resume
+/// record included, equals a call without a base.  A cut result is refused
+/// as a base.
 ///
 /// With a `cutoff` the call stops before the first list position at which
 /// the running counters reach it and returns a cut result (see
 /// ScheduleResult::cut), the same one with or without a base.  A call that
 /// places every task without reaching it returns what a call without a
 /// cutoff returns.
-ScheduleResult run_list_scheduler(const SchedProblem& problem,
+///
+/// The problem is taken by value and moved into the result's record, so a
+/// caller that builds it for this call alone passes it with std::move.
+ScheduleResult run_list_scheduler(SchedProblem problem,
                                   const PriorityLevels& levels,
                                   const ScheduleResult* base = nullptr,
                                   const ScheduleCutoff* cutoff = nullptr);
+
+/// The first list position of `base`'s record where `problem` can behave
+/// differently from the base's problem: the number of positions a resumed
+/// call restores before any cutoff.  Resources correspond across the two
+/// problems by role: PE p is PE p, and link l is link l (index
+/// `link_base + l` in each), so a PE appended to the architecture moves
+/// every link's index but breaks no link's match.  A resource without a counterpart, or whose SchedResourceInfo
+/// differs from its counterpart's, counts as changed.  The point is the
+/// earliest of:
+///  - the first pop of a task that is no longer schedulable, whose mode or
+///    exec time changed, or whose resource is changed or not the
+///    counterpart of its old one;
+///  - the first pop of the destination of an edge whose comm time changed,
+///    or whose link is changed or not the counterpart of its old one;
+///  - the first position where a newly schedulable task outranks the
+///    base's pop.
+/// Requires what a resume requires: an uncut base over the same FlatSpec
+/// (by fingerprint) and levels.
+int resume_point(const ScheduleResult& base, const SchedProblem& problem,
+                 const PriorityLevels& levels);
 
 /// Busy windows per task graph (tasks and edges), used to derive the
 /// compatibility matrix from a schedule (Figure 3).

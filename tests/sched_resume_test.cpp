@@ -9,6 +9,12 @@
 // earlier problems cover the removals that repair and evacuation make.
 // Crafted cases pin the restore rules one at a time.
 //
+// Resume points: resume_point is pinned where a new PE joins the problem —
+// an empty fresh PE restores every position, a fresh PE hosting a moved
+// task resumes at that task's pop although earlier pops read links, and a
+// problem with fewer PEs than its base, or built by hand with every
+// resource matched by index, diverges where its resources say.
+//
 // Cutoffs: the same architectures, plus those of four 0.10x inputs whose
 // repair makes moves, are scheduled with cutoffs taken from every
 // schedule's own per-position counters and, through cutoff_to_beat, from
@@ -563,6 +569,135 @@ TEST(SchedResumeCrafted, BaseFromOtherLevelsOrSpecIsRejected) {
               run_list_scheduler(c.problem, c.levels, nullptr));
   const ScheduleResult none;
   EXPECT_TRUE(run_list_scheduler(c.problem, c.levels, &none) == base);
+}
+
+// --- resume points after a new PE ----------------------------------------
+
+/// The first list position of `schedule` whose pop reads a link: where a
+/// resume stopped when one more PE shifted every link's index.
+int first_link_pop(const ScheduleResult& schedule, const FlatSpec& flat) {
+  const ScheduleRecord& rec = schedule.record;
+  for (std::size_t k = 0; k + 1 < rec.steps.size(); ++k)
+    for (int eid : flat.in_edges(rec.steps[k].tid))
+      if (rec.problem.edge_resource[eid] >= 0) return static_cast<int>(k);
+  return -1;
+}
+
+class SchedResumePoint : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(SchedResumePoint, FreshPeKeepsEveryLinkMatched) {
+  SpecGenerator generator(lib());
+  const Specification spec =
+      generator.generate(profile_config(profile_by_name(GetParam()), 0.03));
+  const Commits c = committed(spec, /*reconfig=*/false);
+  auto problem_of = [&](const Architecture& arch) {
+    SchedProblem p = make_sched_problem(arch, *c.flat, c.task_cluster, {});
+    p.task_optimistic = &c.optimistic;
+    return p;
+  };
+  int past_links = 0;
+  for (std::size_t k = 0; k < c.archs.size(); ++k) {
+    const std::string what =
+        std::string(GetParam()) + " commit " + std::to_string(k);
+    const ScheduleResult base = run_list_scheduler(problem_of(c.archs[k]),
+                                                   c.levels);
+    // One empty fresh PE: every pop behaves as in the base.
+    Architecture grown = c.archs[k];
+    grown.add_pe(0);
+    const SchedProblem fresh = problem_of(grown);
+    EXPECT_EQ(resume_point(base, fresh, c.levels),
+              static_cast<int>(base.record.steps.size()) - 1)
+        << what << " plus an empty PE";
+    expect_all_exact(fresh, c.levels, base, what + " plus an empty PE");
+    // The next commit buys a PE: its resume passes the first pop that
+    // reads a link whenever nothing before it changed.
+    if (k + 1 == c.archs.size() ||
+        c.archs[k + 1].pes.size() != c.archs[k].pes.size() + 1)
+      continue;
+    const int at = resume_point(base, problem_of(c.archs[k + 1]), c.levels);
+    const int link_pop = first_link_pop(base, *c.flat);
+    if (link_pop >= 0 && at > link_pop) ++past_links;
+  }
+  EXPECT_GT(past_links, 0) << GetParam();
+}
+
+INSTANTIATE_TEST_SUITE_P(Table2Profiles, SchedResumePoint,
+                         ::testing::Values("A1TR", "HROST", "ADMR", "NGXM"));
+
+TEST(SchedResumeCrafted, FreshPeHostingAMovedTaskResumesAtItsPop) {
+  // PEs 0, 1 and link 0 (resource 2) carry 0->1; tasks 2 and 3 are alone
+  // on PE 0.  The new problem buys PE 2 (the link becomes resource 3) and
+  // moves task 3 onto it: the resume keeps 0->1's window, which moves to
+  // resource 3, and diverges at task 3's pop.
+  Crafted c = crafted(0, 4, {{0, 1}});
+  c.problem.link_base = 2;
+  c.problem.resources = {serial(), serial(), serial()};
+  c.problem.task_resource = {0, 1, 0, 0};
+  c.problem.edge_resource = {2};
+  c.problem.edge_comm = {50 * kMicrosecond};
+  const ScheduleResult base = run_list_scheduler(c.problem, c.levels);
+  ASSERT_EQ(first_link_pop(base, *c.flat), 1);
+
+  SchedProblem next = c.problem;
+  next.link_base = 3;
+  next.resources.push_back(serial());
+  next.task_resource[3] = 2;
+  next.edge_resource = {3};
+  EXPECT_EQ(resume_point(base, next, c.levels), 3);
+  expect_all_exact(next, c.levels, base, "fresh PE");
+  // A resume that keeps the whole prefix: only the link moved.
+  SchedProblem idle = next;
+  idle.task_resource[3] = 0;
+  EXPECT_EQ(resume_point(base, idle, c.levels), 4);
+  expect_all_exact(idle, c.levels, base, "idle fresh PE");
+}
+
+TEST(SchedResumeCrafted, FewerPesThanTheBase) {
+  // The base has PEs 0-2 and link 0 at resource 3; the new problem drops
+  // PE 2 (its task 3 moves to PE 1) and the link becomes resource 2.  The
+  // link's windows still match, so the resume diverges at task 3's pop.
+  Crafted c = crafted(0, 5, {{0, 1}});
+  c.problem.link_base = 3;
+  c.problem.resources = {serial(), serial(), serial(), serial()};
+  c.problem.task_resource = {0, 1, 0, 2, 0};
+  c.problem.edge_resource = {3};
+  c.problem.edge_comm = {50 * kMicrosecond};
+  const ScheduleResult base = run_list_scheduler(c.problem, c.levels);
+
+  SchedProblem next = c.problem;
+  next.link_base = 2;
+  next.resources.pop_back();
+  next.task_resource[3] = 1;
+  next.edge_resource = {2};
+  EXPECT_EQ(resume_point(base, next, c.levels), 3);
+  expect_all_exact(next, c.levels, base, "fewer PEs");
+  const ScheduleResult shrunk = run_list_scheduler(next, c.levels);
+  EXPECT_EQ(resume_point(shrunk, c.problem, c.levels), 3);
+  expect_all_exact(c.problem, c.levels, shrunk, "PE restored");
+}
+
+TEST(SchedResumeCrafted, HandBuiltProblemsMatchResourcesByIndex) {
+  // NewPeShiftsLinkIndices' problems with link_base 0: the link's old
+  // index 2 is the new PE's, so the pop that reads the link (task 1)
+  // diverges.  With the PE count as link_base the link keeps its match
+  // and the resume reaches task 2, the task that moved.
+  Crafted c = crafted(0, 5, {{0, 1}, {3, 4}});
+  c.problem.resources = {serial(), serial(), serial()};
+  c.problem.task_resource = {0, 1, 0, 0, 1};
+  c.problem.edge_resource = {2, 2};
+  c.problem.edge_comm = {50 * kMicrosecond, 50 * kMicrosecond};
+  SchedProblem next = c.problem;
+  next.resources = {serial(), serial(), serial(), serial()};
+  next.task_resource[2] = 2;
+  next.edge_resource = {3, 3};
+  const ScheduleResult by_index = run_list_scheduler(c.problem, c.levels);
+  EXPECT_EQ(resume_point(by_index, next, c.levels), 1);
+
+  c.problem.link_base = 2;
+  next.link_base = 3;
+  const ScheduleResult by_role = run_list_scheduler(c.problem, c.levels);
+  EXPECT_EQ(resume_point(by_role, next, c.levels), 2);
+  expect_all_exact(next, c.levels, by_role, "matched by role");
 }
 
 }  // namespace

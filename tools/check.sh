@@ -14,30 +14,32 @@
 #   7. survivability smoke: fixed-seed `crusade survive` campaigns on
 #      figure2 and on a generated many-frame HROST spec, each run twice,
 #      JSON byte-identical, strict parse-back (0 FT-LIE, transients cross-PE)
-#   8. boot-time fsck smoke: `crusaded --fsck` over a deliberately corrupted
+#   8. paper-scale answer pin: Table 2's A1TR at 1.0x (1126 tasks) must
+#      synthesize the pinned architectures with and without reconfiguration
+#   9. boot-time fsck smoke: `crusaded --fsck` over a deliberately corrupted
 #      spool — dry-run classifies without touching disk, the repair pass
 #      quarantines with evidence and tombstones the record, and a second
 #      scrub converges clean
-#   9. ASan/UBSan configuration build + entire test suite
-#  10. fault-injection harness + survive campaign under ASan/UBSan (the
+#  10. ASan/UBSan configuration build + entire test suite
+#  11. fault-injection harness + survive campaign under ASan/UBSan (the
 #      mutated-spec and fault-replay paths are where memory bugs would hide)
-#  11. UBSan-only configuration (RelWithDebInfo: optimizer-exposed UB that
+#  12. UBSan-only configuration (RelWithDebInfo: optimizer-exposed UB that
 #      the Debug ASan build can miss) + entire test suite + survive campaign
-#  12. chaos soak: the seeded environment-fault campaign (ServeChaosTest +
+#  13. chaos soak: the seeded environment-fault campaign (ServeChaosTest +
 #      IoFaultTest) under ASan/UBSan, plus tools/chaos_soak.sh driving a
 #      live daemon with --chaos across seeds (including the restart storm),
 #      plus the chaos availability bench with BENCH_chaos.json round-tripped
 #      through a strict parser
-#  13. recovery-time bench: dirty-spool restarts across growing populations,
+#  14. recovery-time bench: dirty-spool restarts across growing populations,
 #      BENCH_recovery.json parse-back asserts every boot recovered all
 #      terminal answers and parked jobs (the honesty gate)
-#  14. TSan configuration: serve_test (the one multi-threaded subsystem,
+#  15. TSan configuration: serve_test (the one multi-threaded subsystem,
 #      including the seeded chaos campaign), two syntheses on separate
 #      threads (obs_test's RunStatsConcurrencyTest), plus a live `crusaded`
 #      daemon driven by a `crusade submit` loop — races between the
 #      supervisor, workers, and socket handlers surface here, not in the
 #      single-threaded suites
-#  15. benchmark paper totals + smoke: `crusade_bench/run.py --paper`
+#  16. benchmark paper totals + smoke: `crusade_bench/run.py --paper`
 #      reproduces seed 1 of Tables 2-3 exactly (cost, evaluations,
 #      infeasible count), then `--smoke` runs every workload once
 #
@@ -351,6 +353,30 @@ EOF
 else
   echo "survive JSON: deterministic and byte-identical (cmp)"
   stage_skip "no python3 for strict parse-back"
+fi
+
+stage "paper-scale answer pin (A1TR at 1.0x)"
+# The one input at the paper's own size that this sweep synthesizes (about
+# 6 s): A1TR's 1126 tasks must give 111 PEs, 86 links and $9054 without
+# reconfiguration and 87 PEs, 81 links and $8130 with it, both feasible.
+# Only a declared search change may move these numbers.
+CRUSADE_SCALE=1.0 CRUSADE_ONLY=A1TR ./build-ci/bench/table2_crusade \
+  > build-ci/table2-a1tr.txt
+# Row: | Example | Tasks | PEs | Links | CPU(s) | Cost($) | PEs* | Links* |
+#      CPU(s)* | Cost($)* | Savings% |
+IFS='|' read -r _ _ tasks pes links _ cost pes_r links_r _ cost_r _ \
+  <<< "$(grep '^| A1TR ' build-ci/table2-a1tr.txt | tr -d ' ')"
+pinned="1126 111 86 9054 87 81 8130"
+got="$tasks $pes $links $cost $pes_r $links_r $cost_r"
+if [[ "$got" == "$pinned" ]] &&
+   grep -q '^A1TR: done (9054 -> 8130, feasible 1/1)$' \
+     build-ci/table2-a1tr.txt; then
+  echo "A1TR at 1.0x: $got, both feasible"
+  stage_ok
+else
+  echo "FAILED: A1TR at 1.0x gave '$got' (want '$pinned'), see" \
+    "build-ci/table2-a1tr.txt" >&2
+  exit 1
 fi
 
 stage "boot-time fsck smoke (crusaded --fsck on a corrupted spool)"
