@@ -10,6 +10,7 @@
 
 #include "reconfig/interface_synth.hpp"
 #include "util/error.hpp"
+#include "util/json_writer.hpp"
 
 namespace crusade {
 
@@ -90,72 +91,30 @@ std::string AnalysisReport::summary(const std::string& prefix) const {
   return out.str();
 }
 
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string AnalysisReport::to_json() const {
-  std::ostringstream out;
-  out << "{\"errors\":" << count(Severity::Error)
-      << ",\"warnings\":" << count(Severity::Warning)
-      << ",\"notes\":" << count(Severity::Note) << ",\"diagnostics\":[";
-  for (std::size_t i = 0; i < diagnostics.size(); ++i) {
-    const Diagnostic& d = diagnostics[i];
-    if (i) out << ",";
-    out << "{\"id\":\"" << d.id << "\",\"severity\":\""
-        << to_string(d.severity) << "\",\"line\":" << d.line
-        << ",\"message\":\"" << json_escape(d.message) << "\",\"paper_ref\":\""
-        << json_escape(d.paper_ref) << "\"}";
+  tools::JsonWriter w;
+  w.begin_object()
+      .key("errors").value(count(Severity::Error))
+      .key("warnings").value(count(Severity::Warning))
+      .key("notes").value(count(Severity::Note))
+      .key("diagnostics").begin_array();
+  for (const Diagnostic& d : diagnostics) {
+    w.begin_object()
+        .key("id").value(d.id)
+        .key("severity").value(to_string(d.severity))
+        .key("line").value(d.line)
+        .key("message").value(d.message)
+        .key("paper_ref").value(d.paper_ref)
+        .end_object();
   }
-  out << "],\"dominated_pe_types\":[";
-  bool first = true;
+  w.end_array().key("dominated_pe_types").begin_array();
   for (std::size_t i = 0; i < dominated_pes.size(); ++i)
-    if (dominated_pes[i]) {
-      if (!first) out << ",";
-      out << i;
-      first = false;
-    }
-  out << "],\"dominated_link_types\":[";
-  first = true;
+    if (dominated_pes[i]) w.value(static_cast<unsigned long long>(i));
+  w.end_array().key("dominated_link_types").begin_array();
   for (std::size_t i = 0; i < dominated_links.size(); ++i)
-    if (dominated_links[i]) {
-      if (!first) out << ",";
-      out << i;
-      first = false;
-    }
-  out << "]}";
-  return out.str();
+    if (dominated_links[i]) w.value(static_cast<unsigned long long>(i));
+  w.end_array().end_object();
+  return w.str();
 }
 
 Diagnostic parse_error_diagnostic(const Error& err) {

@@ -7,10 +7,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <cerrno>
 #include <cstring>
-#include <map>
+#include <thread>
 
 #include "util/io_faults.hpp"
 
@@ -19,71 +18,79 @@ namespace crusade::obs {
 namespace {
 
 constexpr std::uint64_t kFlightMagic = 0x43525546'4c494748ull;  // "CRUFLIGH"
-constexpr std::uint32_t kFlightVersion = 1;
-constexpr std::uint32_t kMaxSlots = 1u << 16;
+constexpr std::uint32_t kFlightVersion = 2;
+constexpr std::uint32_t kStackSlots = 32;
+constexpr std::uint32_t kCounterSlots = 64;
 
-// The on-disk layout.  Header and records are both exactly 64 bytes so a
-// record never straddles more pages than necessary and the cursor sits in
-// its own cache line's worth of header.
+// The on-disk layout: a header, then kStackSlots stack slots, then
+// kCounterSlots counter slots, every part exactly 64 bytes.  The depth and
+// the count of claimed counter slots are published with release after the
+// slot they cover is written, so a reader that loads them with acquire
+// never reads a slot before its name.
 struct FlightHeader {
   std::uint64_t magic;
   std::uint32_t version;
   std::uint32_t pid;
-  std::uint32_t slot_count;
-  std::uint32_t reserved;
-  std::atomic<std::uint64_t> cursor;  // total records ever written
+  std::atomic<std::uint32_t> depth;   // open spans, named or not
+  std::atomic<std::uint32_t> used;    // counter slots claimed
+  std::atomic<std::int64_t> last_ns;  // time of the last event
   char pad[64 - 8 - 4 - 4 - 4 - 4 - 8];
 };
 static_assert(sizeof(FlightHeader) == 64, "flight header must be 64 bytes");
 
-constexpr std::size_t kNameBytes = 39;
+constexpr std::size_t kNameBytes = 56;
 
-struct FlightRecord {
-  std::uint8_t type;
+// A stack slot holds a span's name and begin time; a counter slot holds a
+// counter's name and running total.
+struct FlightSlot {
   char name[kNameBytes];  // NUL-terminated, truncated if needed
-  std::int64_t value;
-  std::int64_t ts_ns;
-  char pad[8];
+  std::atomic<std::int64_t> value;
 };
-static_assert(sizeof(FlightRecord) == 64, "flight record must be 64 bytes");
+static_assert(sizeof(FlightSlot) == 64, "flight slot must be 64 bytes");
 
-struct Ring {
+constexpr std::size_t kFileBytes =
+    sizeof(FlightHeader) + (kStackSlots + kCounterSlots) * sizeof(FlightSlot);
+
+struct Recorder {
   FlightHeader* header = nullptr;
-  FlightRecord* slots = nullptr;
-  std::size_t map_len = 0;
+  FlightSlot* stack = nullptr;
+  FlightSlot* counters = nullptr;
+  /// Only the arming thread records: spans on other threads would
+  /// interleave with its stack.  A worker is single-threaded after fork.
+  std::thread::id owner;
 };
 
-// The armed ring, published with release so a reader that loads the pointer
-// (acquire) sees fully initialised header/slots fields.  Arm/disarm happen
-// on the worker main thread before/after the traced work, so writers never
-// race a concurrent disarm in practice.
-std::atomic<Ring*> g_ring{nullptr};
+// The armed recorder, published with release so a thread that loads the
+// pointer (acquire) sees its fields.  Arm and disarm must run while no
+// other thread records a span or a count (every thread reads the owner):
+// a worker arms before any real work, single-threaded after fork, and a
+// forked child disarms when it has no other thread.
+std::atomic<Recorder*> g_recorder{nullptr};
 
-void unmap_ring(Ring* ring) {
-  if (ring == nullptr) return;
-  if (ring->header != nullptr) {
-    ::munmap(static_cast<void*>(ring->header), ring->map_len);
-  }
-  delete ring;
+/// The armed recorder when the caller is its arming thread, else null.
+Recorder* recording() {
+  Recorder* r = g_recorder.load(std::memory_order_acquire);
+  return r != nullptr && r->owner == std::this_thread::get_id() ? r : nullptr;
 }
 
-bool printable_name(const char* name, std::size_t cap, std::size_t* len_out) {
-  for (std::size_t i = 0; i < cap; ++i) {
-    const char c = name[i];
-    if (c == '\0') {
-      *len_out = i;
-      return i > 0;
-    }
-    if (std::isprint(static_cast<unsigned char>(c)) == 0) return false;
-  }
-  return false;  // not NUL-terminated: torn record
+void set_name(FlightSlot& slot, const char* name) {
+  const std::size_t n = std::min(std::strlen(name), kNameBytes - 1);
+  std::memcpy(slot.name, name, n);
+  slot.name[n] = '\0';
+}
+
+bool has_name(const FlightSlot& slot, const char* name) {
+  return std::strncmp(slot.name, name, kNameBytes - 1) == 0;
+}
+
+std::string name_of(const FlightSlot& slot) {
+  return std::string(slot.name, ::strnlen(slot.name, kNameBytes - 1));
 }
 
 }  // namespace
 
-bool arm_flight_recorder(const std::string& path, std::uint32_t slots) {
+bool arm_flight_recorder(const std::string& path) {
   disarm_flight_recorder();
-  if (slots == 0 || slots > kMaxSlots) return false;
   // Arming is best-effort by contract (callers degrade to no recorder), so
   // injected open/ftruncate faults from the chaos seam surface as a false
   // return, never an exception; EINTR is retried like a real signal.
@@ -94,61 +101,83 @@ bool arm_flight_recorder(const std::string& path, std::uint32_t slots) {
     if (errno == EINTR) continue;
     return false;
   }
-  const std::size_t len = sizeof(FlightHeader) +
-                          static_cast<std::size_t>(slots) *
-                              sizeof(FlightRecord);
-  while (iofault::xftruncate(fd, static_cast<long long>(len)) != 0) {
+  while (iofault::xftruncate(fd, static_cast<long long>(kFileBytes)) != 0) {
     if (errno == EINTR) continue;
     (void)::close(fd);
     (void)::unlink(path.c_str());
     return false;
   }
-  void* map = ::mmap(nullptr, len, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
+  void* map =
+      ::mmap(nullptr, kFileBytes, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
   (void)::close(fd);  // the mapping keeps the file alive
   if (map == MAP_FAILED) {
     (void)::unlink(path.c_str());
     return false;
   }
-  auto* ring = new Ring;
-  ring->header = static_cast<FlightHeader*>(map);
-  ring->slots = reinterpret_cast<FlightRecord*>(
-      static_cast<char*>(map) + sizeof(FlightHeader));
-  ring->map_len = len;
-  ring->header->magic = kFlightMagic;
-  ring->header->version = kFlightVersion;
-  ring->header->pid = static_cast<std::uint32_t>(::getpid());
-  ring->header->slot_count = slots;
-  ring->header->reserved = 0;
-  ring->header->cursor.store(0, std::memory_order_relaxed);
-  g_ring.store(ring, std::memory_order_release);
+  // The truncated file reads as zeros: no open span, no counter, no event.
+  auto* r = new Recorder;
+  r->header = static_cast<FlightHeader*>(map);
+  r->stack = reinterpret_cast<FlightSlot*>(r->header + 1);
+  r->counters = r->stack + kStackSlots;
+  r->owner = std::this_thread::get_id();
+  r->header->magic = kFlightMagic;
+  r->header->version = kFlightVersion;
+  r->header->pid = static_cast<std::uint32_t>(::getpid());
+  g_recorder.store(r, std::memory_order_release);
   return true;
 }
 
 void disarm_flight_recorder() {
-  Ring* ring = g_ring.exchange(nullptr, std::memory_order_acq_rel);
-  unmap_ring(ring);
+  Recorder* r = g_recorder.exchange(nullptr, std::memory_order_acq_rel);
+  if (r == nullptr) return;
+  ::munmap(static_cast<void*>(r->header), kFileBytes);
+  delete r;
 }
 
 bool flight_recorder_armed() {
-  return g_ring.load(std::memory_order_relaxed) != nullptr;
+  return g_recorder.load(std::memory_order_relaxed) != nullptr;
 }
 
-void flight_record(std::uint8_t type, const char* name, std::int64_t value,
-                   std::int64_t ts_ns) {
-  Ring* ring = g_ring.load(std::memory_order_acquire);
-  if (ring == nullptr || name == nullptr) return;
-  const std::uint64_t seq =
-      ring->header->cursor.fetch_add(1, std::memory_order_relaxed);
-  FlightRecord& rec = ring->slots[seq % ring->header->slot_count];
-  // A reader may observe this record half-written (ring wrap during read,
-  // or the writer killed mid-store); it validates before trusting.
-  rec.type = type;
-  std::size_t n = std::strlen(name);
-  n = std::min(n, kNameBytes - 1);
-  std::memcpy(rec.name, name, n);
-  std::memset(rec.name + n, 0, kNameBytes - n);
-  rec.value = value;
-  rec.ts_ns = ts_ns;
+void flight_begin(const char* name, std::int64_t ts_ns) {
+  Recorder* r = recording();
+  if (r == nullptr) return;
+  FlightHeader& h = *r->header;
+  const std::uint32_t depth = h.depth.load(std::memory_order_relaxed);
+  if (depth < kStackSlots) {
+    set_name(r->stack[depth], name);
+    r->stack[depth].value.store(ts_ns, std::memory_order_relaxed);
+  }
+  h.depth.store(depth + 1, std::memory_order_release);
+  h.last_ns.store(ts_ns, std::memory_order_relaxed);
+}
+
+void flight_end(const char* name, std::int64_t ts_ns) {
+  Recorder* r = recording();
+  if (r == nullptr) return;
+  FlightHeader& h = *r->header;
+  const std::uint32_t depth = h.depth.load(std::memory_order_relaxed);
+  // Spans nest on one thread, so the span ending is the top one, unless it
+  // opened before arming: then no slot holds it and the depth stays.
+  if (depth > kStackSlots ||
+      (depth > 0 && has_name(r->stack[depth - 1], name)))
+    h.depth.store(depth - 1, std::memory_order_release);
+  h.last_ns.store(ts_ns, std::memory_order_relaxed);
+}
+
+void flight_count(const char* name, std::int64_t total, std::int64_t ts_ns) {
+  Recorder* r = recording();
+  if (r == nullptr) return;
+  FlightHeader& h = *r->header;
+  h.last_ns.store(ts_ns, std::memory_order_relaxed);
+  const std::uint32_t used = h.used.load(std::memory_order_relaxed);
+  std::uint32_t i = 0;
+  while (i < used && !has_name(r->counters[i], name)) ++i;
+  if (i == used) {
+    if (used == kCounterSlots) return;  // every slot claimed: dropped
+    set_name(r->counters[i], name);
+  }
+  r->counters[i].value.store(total, std::memory_order_relaxed);
+  if (i == used) h.used.store(used + 1, std::memory_order_release);
 }
 
 FlightSnapshot read_flight(const std::string& path) {
@@ -157,81 +186,41 @@ FlightSnapshot read_flight(const std::string& path) {
   if (fd < 0) return snap;
   struct stat st{};
   if (::fstat(fd, &st) != 0 ||
-      st.st_size < static_cast<off_t>(sizeof(FlightHeader))) {
+      st.st_size != static_cast<off_t>(kFileBytes)) {
     (void)::close(fd);
     return snap;
   }
-  const std::size_t len = static_cast<std::size_t>(st.st_size);
-  void* map = ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, fd, 0);
+  void* map = ::mmap(nullptr, kFileBytes, PROT_READ, MAP_SHARED, fd, 0);
   (void)::close(fd);
   if (map == MAP_FAILED) return snap;
-  const auto* header = static_cast<const FlightHeader*>(map);
-  const std::uint32_t slots = header->slot_count;
-  if (header->magic != kFlightMagic || header->version != kFlightVersion ||
-      slots == 0 || slots > kMaxSlots ||
-      len < sizeof(FlightHeader) +
-                static_cast<std::size_t>(slots) * sizeof(FlightRecord)) {
-    ::munmap(map, len);
-    return snap;
+  const auto* h = static_cast<const FlightHeader*>(map);
+  const auto* stack = reinterpret_cast<const FlightSlot*>(h + 1);
+  const FlightSlot* counters = stack + kStackSlots;
+  if (h->magic == kFlightMagic && h->version == kFlightVersion) {
+    snap.valid_ = true;
+    snap.pid_ = h->pid;
+    snap.last_ns_ = h->last_ns.load(std::memory_order_relaxed);
+    const std::uint32_t depth =
+        std::min(h->depth.load(std::memory_order_acquire), kStackSlots);
+    for (std::uint32_t i = 0; i < depth; ++i)
+      snap.spans_.push_back(
+          {name_of(stack[i]), stack[i].value.load(std::memory_order_relaxed)});
+    const std::uint32_t used =
+        std::min(h->used.load(std::memory_order_acquire), kCounterSlots);
+    for (std::uint32_t i = 0; i < used; ++i)
+      snap.counters_.emplace_back(
+          name_of(counters[i]),
+          counters[i].value.load(std::memory_order_relaxed));
+    std::sort(snap.counters_.begin(), snap.counters_.end());
   }
-  snap.valid_ = true;
-  snap.pid_ = header->pid;
-  const std::uint64_t total =
-      header->cursor.load(std::memory_order_relaxed);
-  snap.total_ = total;
-  const auto* recs = reinterpret_cast<const FlightRecord*>(
-      static_cast<const char*>(map) + sizeof(FlightHeader));
-  // Replay oldest to newest.  When the ring wrapped, the oldest surviving
-  // record is at cursor % slots.
-  const std::uint64_t count = std::min<std::uint64_t>(total, slots);
-  const std::uint64_t first = total - count;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const FlightRecord& rec = recs[(first + i) % slots];
-    std::size_t name_len = 0;
-    if (rec.type != kFlightBegin && rec.type != kFlightEnd &&
-        rec.type != kFlightCount) {
-      continue;  // torn or empty slot
-    }
-    if (!printable_name(rec.name, kNameBytes, &name_len)) continue;
-    FlightEvent ev;
-    ev.type = rec.type;
-    ev.name.assign(rec.name, name_len);
-    ev.value = rec.value;
-    ev.ts_ns = rec.ts_ns;
-    snap.events_.push_back(std::move(ev));
-  }
-  ::munmap(map, len);
+  ::munmap(map, kFileBytes);
   return snap;
 }
 
 std::vector<std::string> FlightSnapshot::span_stack() const {
-  std::vector<std::string> stack;
-  for (const auto& ev : events_) {
-    if (ev.type == kFlightBegin) {
-      stack.push_back(ev.name);
-    } else if (ev.type == kFlightEnd) {
-      // Close the innermost matching open span; ends whose begins fell off
-      // the ring simply don't match anything.
-      for (std::size_t i = stack.size(); i-- > 0;) {
-        if (stack[i] == ev.name) {
-          stack.erase(stack.begin() + static_cast<std::ptrdiff_t>(i));
-          break;
-        }
-      }
-    }
-  }
-  return stack;
-}
-
-std::vector<std::pair<std::string, long long>> FlightSnapshot::counter_totals()
-    const {
-  std::map<std::string, long long> totals;
-  for (const auto& ev : events_) {
-    if (ev.type == kFlightCount) {
-      totals[ev.name] = static_cast<long long>(ev.value);
-    }
-  }
-  return {totals.begin(), totals.end()};
+  std::vector<std::string> names;
+  for (const FlightSpan& span : spans_) names.push_back(span.name);
+  return names;
 }
 
 }  // namespace crusade::obs

@@ -1,16 +1,19 @@
-// Crash flight recorder (DESIGN.md §15.4): a small mmap'd ring buffer of
-// recent span begin/end and counter events that survives SIGKILL.
+// Crash flight recorder (DESIGN.md §15.4): a small mmap'd file holding the
+// recording thread's open-span stack, every counter's running total and
+// the time of the last event, kept current as the process runs so that it
+// survives SIGKILL.
 //
 // A worker arms the recorder against a file in the job spool before doing
-// any real work.  Every span begin/end and counter update appends a fixed
-// 64-byte record to the ring with a single relaxed fetch_add on the write
-// cursor — lock-free, allocation-free, and safe on the worker hot path.
-// Because the ring is a file-backed MAP_SHARED mapping, the dirtied pages
-// belong to the page cache, not the process: when the watchdog SIGKILLs a
-// hung worker the kernel still writes them back, so the supervisor can open
-// the same file afterwards and reconstruct the worker's last span stack and
-// counter totals.  Torn records (a writer killed mid-memcpy) are tolerated
-// by the reader, which validates each record before trusting it.
+// any real work.  From then on every span begin/end and counter update on
+// the arming thread stores into the file: a begin writes the next stack
+// slot, an end lowers the depth, a count stores the counter's total into
+// its slot.  No locks, no allocation, no syscalls.  Because the file is a
+// MAP_SHARED mapping, the stores land in the page cache, not the process:
+// when the watchdog SIGKILLs a hung worker the kernel still writes them
+// back, so the supervisor can open the same file afterwards and read the
+// worker's last span stack and counter totals as they stood.  The state
+// has a fixed size, so it names the phase a worker died in however long
+// the worker ran.
 #pragma once
 
 #include <cstdint>
@@ -20,71 +23,69 @@
 
 namespace crusade::obs {
 
-/// Record types stored in the ring.
-inline constexpr std::uint8_t kFlightBegin = 1;  ///< span opened
-inline constexpr std::uint8_t kFlightEnd = 2;    ///< span closed
-inline constexpr std::uint8_t kFlightCount = 3;  ///< counter running total
+/// Maps `path` as this process's flight-recorder state and routes the
+/// calling thread's span/counter events into it; events on other threads
+/// are not recorded.  Returns false (leaving the recorder disarmed) if the
+/// file cannot be created or mapped — telemetry failures never fail the
+/// job.  Re-arming replaces the previous file.
+bool arm_flight_recorder(const std::string& path);
 
-/// Maps `path` as a flight-recorder ring with `slots` 64-byte records and
-/// routes subsequent span/counter events into it.  Returns false (leaving
-/// the recorder disarmed) if the file cannot be created or mapped —
-/// telemetry failures never fail the job.  Re-arming replaces the previous
-/// ring.
-bool arm_flight_recorder(const std::string& path, std::uint32_t slots = 256);
-
-/// Stops recording and unmaps the ring.  Safe to call when disarmed.
+/// Stops recording and unmaps the file.  Safe to call when disarmed.
 void disarm_flight_recorder();
 
-/// True while a ring is armed in this process.
+/// True while a flight file is armed in this process.
 bool flight_recorder_armed();
 
-/// Internal hook used by the obs span/counter paths; no-op when disarmed.
-/// `value` is the counter running total for kFlightCount, 0 otherwise.
-void flight_record(std::uint8_t type, const char* name, std::int64_t value,
-                   std::int64_t ts_ns);
+/// Internal hooks used by the obs span/counter paths; no-ops when disarmed
+/// or on a thread other than the arming one.  Times are steady-clock
+/// nanoseconds; `total` is the counter's running total.
+void flight_begin(const char* name, std::int64_t ts_ns);
+void flight_end(const char* name, std::int64_t ts_ns);
+void flight_count(const char* name, std::int64_t total, std::int64_t ts_ns);
 
-/// One validated record read back from a ring file.
-struct FlightEvent {
-  std::uint8_t type = 0;
+/// One span that was open when the recorder last wrote.
+struct FlightSpan {
   std::string name;
-  std::int64_t value = 0;
-  std::int64_t ts_ns = 0;
+  std::int64_t begin_ns = 0;  ///< steady-clock nanoseconds
 };
 
-/// Decoded, validated view of a flight-recorder file.
+/// A flight-recorder file as read back by (possibly another) process.
 class FlightSnapshot {
  public:
-  /// False when the file was missing, unreadable, or not a flight ring.
+  /// False when the file was missing, unreadable, or not a flight file.
   bool valid() const { return valid_; }
 
-  /// Pid of the process that armed the ring (0 when invalid).
+  /// Pid of the process that armed the file (0 when invalid).
   std::uint32_t pid() const { return pid_; }
 
-  /// Total records ever written (may exceed events().size() when the ring
-  /// wrapped or some records were torn).
-  std::uint64_t total_records() const { return total_; }
+  /// Steady-clock time of the last recorded event: when a killed process
+  /// was last seen alive.
+  std::int64_t last_ns() const { return last_ns_; }
 
-  /// Validated events, oldest first.
-  const std::vector<FlightEvent>& events() const { return events_; }
+  /// Spans open at the last event, outermost first.  Spans nested deeper
+  /// than the file's 32 stack slots are not named.
+  const std::vector<FlightSpan>& spans() const { return spans_; }
 
-  /// The stack of spans that were open when recording stopped, outermost
-  /// first — reconstructed by replaying begin/end events.  Unmatched end
-  /// events (their begin fell off the ring) are ignored.
+  /// The names of spans(), outermost first.
   std::vector<std::string> span_stack() const;
 
-  /// Last-seen running total per counter name, sorted by name.
-  std::vector<std::pair<std::string, long long>> counter_totals() const;
+  /// Running total per counter name, sorted by name.
+  const std::vector<std::pair<std::string, long long>>& counter_totals()
+      const {
+    return counters_;
+  }
 
  private:
   friend FlightSnapshot read_flight(const std::string& path);
   bool valid_ = false;
   std::uint32_t pid_ = 0;
-  std::uint64_t total_ = 0;
-  std::vector<FlightEvent> events_;
+  std::int64_t last_ns_ = 0;
+  std::vector<FlightSpan> spans_;
+  std::vector<std::pair<std::string, long long>> counters_;
 };
 
-/// Reads and validates a flight-recorder file written by (possibly another)
-/// process.  Never throws; an unreadable or corrupt file yields an invalid
+/// Reads a flight-recorder file.  Never throws; an unreadable file or one
+/// of another format (the version-1 ring included) yields an invalid
 /// snapshot.
 FlightSnapshot read_flight(const std::string& path);
 

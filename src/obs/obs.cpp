@@ -9,9 +9,9 @@
 #include <chrono>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <thread>
 
+#include "util/json_writer.hpp"
 #include "util/sync.hpp"
 #include "util/table.hpp"
 #include "util/thread_annotations.hpp"
@@ -98,7 +98,7 @@ EventSink& sink() { return *sink_ptr(); }
 void fork_child() {
   counter_registry_ptr() = new CounterRegistry;
   sink_ptr() = new EventSink;
-  // An inherited flight-recorder ring belongs to the parent's job context;
+  // An inherited flight recorder belongs to the parent's job context;
   // the child must arm its own (run_worker_attempt does) or stay silent.
   disarm_flight_recorder();
 }
@@ -109,29 +109,6 @@ void fork_child() {
   ::pthread_atfork(nullptr, nullptr, &fork_child);
   return 0;
 }();
-
-std::string json_escape_str(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -169,8 +146,7 @@ void count(const char* name, std::int64_t delta) {
       counter_registry().slot(name).fetch_add(delta,
                                               std::memory_order_relaxed) +
       delta;
-  if (flight_recorder_armed())
-    flight_record(kFlightCount, name, total, now_ns());
+  if (flight_recorder_armed()) flight_count(name, total, now_ns());
 }
 
 void record_peak(const char* name, std::int64_t value) {
@@ -206,7 +182,7 @@ Span::Span(const char* name)
   // Flight hook sits behind the enabled check so the disabled path stays a
   // single relaxed load + branch (the BENCH_obs ~3 ns/span contract).
   if (start_ns_ != kDisabled && flight_recorder_armed())
-    flight_record(kFlightBegin, name_, 0, start_ns_);
+    flight_begin(name_, start_ns_);
 }
 
 Span::~Span() {
@@ -214,7 +190,7 @@ Span::~Span() {
   // Tracing may have been switched off mid-span; the span still closes
   // (its start was real), keeping nesting in the trace consistent.
   const std::int64_t end = now_ns();
-  if (flight_recorder_armed()) flight_record(kFlightEnd, name_, 0, end);
+  if (flight_recorder_armed()) flight_end(name_, end);
   EventSink& s = sink();
   util::MutexLock lock(s.mutex);
   if (s.events.size() >= s.capacity) {
@@ -256,40 +232,41 @@ void set_event_capacity(std::size_t cap) {
   s.capacity = cap;
 }
 
-std::string trace_json() {
-  const std::vector<TraceEvent> evs = events();
-  std::ostringstream out;
-  out << "{\"traceEvents\":[";
-  for (std::size_t i = 0; i < evs.size(); ++i) {
-    const TraceEvent& ev = evs[i];
-    if (i) out << ",";
+void append_trace_events(tools::JsonWriter& w, long long pid,
+                         std::int64_t origin_ns) {
+  const std::int64_t shift = epoch_ns() - origin_ns;
+  for (const TraceEvent& ev : events()) {
     // Chrome trace-event "complete" events; ts/dur are microseconds.
-    char buf[64];
-    out << "{\"name\":\"" << json_escape_str(ev.name)
-        << "\",\"cat\":\"crusade\",\"ph\":\"X\",\"pid\":1,\"tid\":"
-        << ev.tid << ",\"ts\":";
-    std::snprintf(buf, sizeof buf, "%.3f",
-                  static_cast<double>(ev.ts_ns) / 1000.0);
-    out << buf << ",\"dur\":";
-    std::snprintf(buf, sizeof buf, "%.3f",
-                  static_cast<double>(ev.dur_ns) / 1000.0);
-    out << buf << "}";
+    w.begin_object()
+        .key("name").value(ev.name)
+        .key("cat").value("crusade")
+        .key("ph").value("X")
+        .key("pid").value(pid)
+        .key("tid").value(static_cast<long long>(ev.tid))
+        .key("ts").value(static_cast<double>(ev.ts_ns + shift) / 1000.0, 3)
+        .key("dur").value(static_cast<double>(ev.dur_ns) / 1000.0, 3)
+        .end_object();
   }
-  out << "],\"displayTimeUnit\":\"ms\"}";
-  return out.str();
+}
+
+std::string trace_json() {
+  tools::JsonWriter w;
+  w.begin_object().key("traceEvents").begin_array();
+  append_trace_events(w, 1, epoch_ns());
+  w.end_array().key("displayTimeUnit").value("ms").end_object();
+  return w.str();
 }
 
 std::string metrics_json() {
-  std::ostringstream out;
-  out << "{\"counters\":{";
-  const auto cs = counters();
-  for (std::size_t i = 0; i < cs.size(); ++i) {
-    if (i) out << ",";
-    out << "\"" << json_escape_str(cs[i].first) << "\":" << cs[i].second;
-  }
-  out << "},\"events\":" << event_count()
-      << ",\"dropped\":" << dropped_events() << "}";
-  return out.str();
+  tools::JsonWriter w;
+  w.begin_object().key("counters").begin_object();
+  for (const auto& [name, value] : counters())
+    w.key(name).value(static_cast<long long>(value));
+  w.end_object()
+      .key("events").value(static_cast<unsigned long long>(event_count()))
+      .key("dropped").value(static_cast<unsigned long long>(dropped_events()))
+      .end_object();
+  return w.str();
 }
 
 std::string metrics_table() {

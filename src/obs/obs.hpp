@@ -28,6 +28,10 @@
 #include <string>
 #include <vector>
 
+namespace crusade::tools {
+class JsonWriter;
+}
+
 namespace crusade::obs {
 
 /// Master switch.  Off by default: spans and counters reduce to one relaxed
@@ -42,9 +46,9 @@ void reset();
 
 /// The trace epoch in steady-clock nanoseconds (what event ts_ns values are
 /// relative to).  Steady-clock readings are CLOCK_MONOTONIC on Linux and so
-/// comparable across processes on one machine — a forked worker serializes
-/// its epoch alongside its events and the daemon rebases them onto its own
-/// timeline when merging job traces (DESIGN.md §15.2).
+/// comparable across processes on one machine — a forked worker times its
+/// row of a job's merged trace from the job's admission instead
+/// (append_trace_events, DESIGN.md §15.2).
 std::int64_t epoch_ns();
 
 // --- counters -------------------------------------------------------------
@@ -101,8 +105,14 @@ std::size_t dropped_events();
 /// Resizes the sink's event cap (default 262144); existing events kept.
 void set_event_capacity(std::size_t cap);
 
-/// Chrome trace-event JSON ("traceEvents" array of "ph":"X" complete
-/// events, timestamps in microseconds).  Round-trips through any JSON
+/// Appends every recorded span to the array `w` has open, as Chrome
+/// "ph":"X" complete events on process row `pid`, timestamps in
+/// microseconds since the steady-clock instant `origin_ns`.
+void append_trace_events(tools::JsonWriter& w, long long pid,
+                         std::int64_t origin_ns);
+
+/// Chrome trace-event JSON: append_trace_events on pid 1 from the trace
+/// epoch, in a "traceEvents" document.  Round-trips through any JSON
 /// parser; load in chrome://tracing or Perfetto.
 std::string trace_json();
 

@@ -1,8 +1,6 @@
 #include "obs/runstats.hpp"
 
-#include <cstdio>
-#include <sstream>
-
+#include "util/json_writer.hpp"
 #include "util/table.hpp"
 
 namespace crusade {
@@ -64,23 +62,14 @@ std::string RunStats::table() const {
 }
 
 std::string RunStats::to_json() const {
-  std::ostringstream out;
-  char buf[48];
-  out << "{\"phases\":{";
-  const auto ps = phase_rows();
-  for (std::size_t i = 0; i < ps.size(); ++i) {
-    if (i) out << ",";
-    std::snprintf(buf, sizeof buf, "%.6f", ps[i].second);
-    out << "\"" << ps[i].first << "\":" << buf;
-  }
-  out << "},\"counters\":{";
-  const auto cs = counter_rows();
-  for (std::size_t i = 0; i < cs.size(); ++i) {
-    if (i) out << ",";
-    out << "\"" << cs[i].first << "\":" << cs[i].second;
-  }
-  out << "}}";
-  return out.str();
+  tools::JsonWriter w;
+  w.begin_object().key("phases").begin_object();
+  for (const auto& [name, seconds] : phase_rows()) w.key(name).value(seconds);
+  w.end_object().key("counters").begin_object();
+  for (const auto& [name, value] : counter_rows())
+    w.key(name).value(static_cast<long long>(value));
+  w.end_object().end_object();
+  return w.str();
 }
 
 }  // namespace crusade

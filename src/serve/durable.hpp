@@ -33,8 +33,10 @@ inline constexpr char kCacheEntryMagic[5] = "CCHE";
 inline constexpr std::uint32_t kCacheEntryVersion = 1;
 inline constexpr char kDurableResultMagic[5] = "CRES";
 inline constexpr std::uint32_t kDurableResultVersion = 1;
+/// A worker attempt's row of its job's trace: a JSON array of Chrome
+/// events.  Version 1 was a line format, which job_trace_json skips.
 inline constexpr char kWorkerTraceMagic[5] = "CTRC";
-inline constexpr std::uint32_t kWorkerTraceVersion = 1;
+inline constexpr std::uint32_t kWorkerTraceVersion = 2;
 /// Quarantine evidence: the exact bytes of a corrupt job record, framed so
 /// the evidence file is itself self-describing.
 inline constexpr char kEvidenceMagic[5] = "CQRN";

@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdlib>
-#include <set>
 
 #include "ckpt/serialize.hpp"
 #include "serve/protocol.hpp"
@@ -284,43 +283,12 @@ SpoolScan scan_spool(const std::string& spool_dir, bool repair) {
   for (const std::string& dir : {spool_dir, jobs_dir, cache_dir})
     (void)::mkdir(dir.c_str(), 0755);
 
-  // A spool written by the journal layout keeps terminal answers in
-  // results/<id>.res, which are CRES records already: each moves over its
-  // job's record (superseding a queued frame that layout could leave
-  // behind), and the journal goes — everything it knew is in these files.
-  // An answer that cannot move yet is read where it is.
-  const std::string results_dir = spool_dir + "/results";
-  const std::string journal_dir = spool_dir + "/journal";
-  std::set<std::uint64_t> answered;
-  for (const std::string& name : scan_dir(results_dir)) {
-    const std::uint64_t id = leading_id(name);
-    scan.max_id = std::max(scan.max_id, id);
-    const std::string path = results_dir + "/" + name;
-    const std::string record = jobs_dir + "/" + std::to_string(id) + ".job";
-    if (id == 0 || !ends_with(name, ".res")) {
-      scrub.sweep(results_dir, name, id != 0);
-    } else if (!repair ||
-               iofault::xrename(path.c_str(), record.c_str()) != 0) {
-      scrub.record(path, id);
-      answered.insert(id);
-    }
-  }
-  for (const std::string& name : scan_dir(journal_dir)) {
-    const std::string path = journal_dir + "/" + name;
-    if (!repair || iofault::xunlink(path.c_str()) != 0)
-      scrub.sweep(journal_dir, name, false);
-  }
-  if (repair) {
-    (void)::rmdir(journal_dir.c_str());
-    (void)::rmdir(results_dir.c_str());
-  }
-
   // Job records and their per-attempt scratch (.ckpt, .result, .trace.N,
   // .flight.N, .corrupt evidence) all carry the job id in their name.
   for (const std::string& name : scan_dir(jobs_dir)) {
     const std::uint64_t id = leading_id(name);
     scan.max_id = std::max(scan.max_id, id);
-    if (id != 0 && ends_with(name, ".job") && answered.count(id) == 0)
+    if (id != 0 && ends_with(name, ".job"))
       scrub.record(jobs_dir + "/" + name, id);
     else
       scrub.sweep(jobs_dir, name, id != 0);

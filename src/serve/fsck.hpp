@@ -20,9 +20,6 @@
 //   ledger-drift         bytes no known artifact explains: charged to the
 //                        recount and flagged
 //
-// A spool written by the journal layout is migrated on the way: each
-// results/<id>.res moves over jobs/<id>.job and journal/ is removed.
-//
 // Every repair goes through the iofault seam, so the scan itself is
 // chaos-survivable: an injected ENOSPC/EIO/torn rename turns the item's
 // action into "repair-failed: ..." and the scan continues — it never
@@ -87,9 +84,9 @@ struct SpoolScan {
   std::vector<CachedAnswer> cache;
   /// Every regular file left under the spool and its size: the disk ledger.
   std::vector<std::pair<std::string, long long>> files;
-  /// Highest job id any file name under jobs/ (or a journal-layout
-  /// results/) carries: the next incarnation issues ids above it, so an
-  /// unreadable record's id is never reused.
+  /// Highest job id any file name under jobs/ carries: the next
+  /// incarnation issues ids above it, so an unreadable record's id is
+  /// never reused.
   std::uint64_t max_id = 0;
 };
 

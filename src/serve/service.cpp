@@ -222,8 +222,8 @@ struct Service::Job {
   bool cancel_requested = false;
   int finish_seq = 0;
   Clock::time_point submitted_at = Clock::now();
-  /// submitted_at on the absolute steady-clock axis — the merge base every
-  /// worker trace/flight timestamp is rebased against (job_trace_json).
+  /// submitted_at on the absolute steady-clock axis: every worker row and
+  /// flight span of the job's trace is timed from it (job_trace_json).
   std::int64_t submit_steady_ns = steady_now_ns();
   Clock::time_point started_at{};
   long wait_ms = 0;
@@ -579,49 +579,6 @@ int Service::recovered_jobs() const {
   return recovered_;
 }
 
-namespace {
-
-/// Parsed form of a worker's serialized trace file (worker_trace_text).
-struct ParsedWorkerTrace {
-  bool ok = false;
-  long long pid = 0;
-  std::int64_t epoch_ns = 0;
-  struct Ev {
-    std::int64_t ts_ns = 0;
-    std::int64_t dur_ns = 0;
-    long long tid = 0;
-    std::string name;
-  };
-  std::vector<Ev> events;
-};
-
-ParsedWorkerTrace parse_worker_trace(const std::string& text) {
-  ParsedWorkerTrace out;
-  std::istringstream in(text);
-  std::string tag;
-  int version = 0;
-  int attempt = 0;
-  if (!(in >> tag >> version >> out.pid >> attempt >> out.epoch_ns) ||
-      tag != "CRUSADE-WORKER-TRACE" || version != 1) {
-    return out;
-  }
-  out.ok = true;
-  std::string line;
-  std::getline(in, line);  // consume the header's newline
-  while (std::getline(in, line)) {
-    std::istringstream ls(line);
-    char record = 0;
-    ls >> record;
-    if (record != 'E') continue;  // counter lines ride in the job history
-    ParsedWorkerTrace::Ev ev;
-    if (ls >> ev.ts_ns >> ev.dur_ns >> ev.tid >> ev.name)
-      out.events.push_back(std::move(ev));
-  }
-  return out;
-}
-
-}  // namespace
-
 std::optional<std::string> Service::job_trace_json(std::uint64_t id) const {
   std::vector<AttemptRecord> history;
   std::int64_t submit_ns = 0;
@@ -656,15 +613,14 @@ std::optional<std::string> Service::job_trace_json(std::uint64_t id) const {
         .key("args").begin_object().key("name").value(name).end_object()
         .end_object();
   };
-  const auto span = [&w](long long pid, long long tid,
-                         const std::string& name, double ts_us,
-                         double dur_us) {
+  const auto span = [&w](long long pid, const std::string& name,
+                         double ts_us, double dur_us) {
     w.begin_object()
         .key("name").value(name)
         .key("cat").value("crusade")
         .key("ph").value("X")
         .key("pid").value(pid)
-        .key("tid").value(tid)
+        .key("tid").value(0)
         .key("ts").value(ts_us, 3)
         .key("dur").value(dur_us < 0.0 ? 0.0 : dur_us, 3)
         .end_object();
@@ -675,7 +631,7 @@ std::optional<std::string> Service::job_trace_json(std::uint64_t id) const {
   meta(1, "crusaded");
   const long queue_end_ms = history.empty() ? wait_ms : history.front().start_ms;
   if (queue_end_ms > 0 || !history.empty())
-    span(1, 0, "serve.queue_wait", 0.0,
+    span(1, "serve.queue_wait", 0.0,
          static_cast<double>(queue_end_ms) * 1000.0);
   for (std::size_t i = 0; i < history.size(); ++i) {
     const AttemptRecord& a = history[i];
@@ -694,65 +650,41 @@ std::optional<std::string> Service::job_trace_json(std::uint64_t id) const {
         .end_object()
         .end_object();
     if (i + 1 < history.size() && history[i + 1].start_ms > end_ms) {
-      span(1, 0, "serve.retry_backoff",
+      span(1, "serve.retry_backoff",
            static_cast<double>(end_ms) * 1000.0,
            static_cast<double>(history[i + 1].start_ms - end_ms) * 1000.0);
     }
   }
 
-  // One process row per worker attempt.  A finished attempt left a trace
-  // file; a crashed one left (at most) its flight-recorder ring, whose
-  // begin/end records are reconstructed into spans — open spans are drawn
-  // to the last timestamp the ring saw, which is when the worker died.
+  // One process row per worker attempt.  A finished attempt wrote its own
+  // row, already timed from the job's admission, and it is spliced in as
+  // is.  A crashed one left its flight file, whose open spans are drawn to
+  // the last event it saw, which is when the worker died.
   for (int attempt = 1; attempt <= attempts; ++attempt) {
     const long long row = 1000 + attempt;
-    bool have_trace = false;
     try {
-      const ParsedWorkerTrace t = parse_worker_trace(
+      const diskfmt::Unframed t =
           diskfmt::read_framed_file(trace_spool_path(id, attempt),
-                                    kWorkerTraceMagic, kWorkerTraceVersion)
-              .payload);
-      if (t.ok) {
-        have_trace = true;
-        meta(row, "worker attempt " + std::to_string(attempt) + " (pid " +
-                      std::to_string(t.pid) + ")");
-        for (const auto& ev : t.events) {
-          span(row, ev.tid, ev.name,
-               static_cast<double>(t.epoch_ns + ev.ts_ns - submit_ns) / 1000.0,
-               static_cast<double>(ev.dur_ns) / 1000.0);
-        }
+                                    kWorkerTraceMagic, kWorkerTraceVersion);
+      // Only this version is a JSON array: a v1 file left in the spool
+      // by an older daemon is skipped, not spliced.
+      if (t.version == kWorkerTraceVersion && t.payload.size() > 2) {
+        w.raw(t.payload.substr(1, t.payload.size() - 2));
+        continue;
       }
     } catch (const Error&) {
-      // no trace file — fall through to the flight ring
+      // no trace file — fall through to the flight file
     }
-    if (have_trace) continue;
     const obs::FlightSnapshot flight =
         obs::read_flight(flight_spool_path(id, attempt));
-    if (!flight.valid() || flight.events().empty()) continue;
+    if (flight.spans().empty()) continue;
     meta(row, "worker attempt " + std::to_string(attempt) +
                   " (flight recorder, pid " + std::to_string(flight.pid()) +
                   ")");
-    std::int64_t last_ns = 0;
-    for (const obs::FlightEvent& ev : flight.events())
-      if (ev.ts_ns > last_ns) last_ns = ev.ts_ns;
-    std::vector<std::pair<std::string, std::int64_t>> open;
-    for (const obs::FlightEvent& ev : flight.events()) {
-      if (ev.type == obs::kFlightBegin) {
-        open.emplace_back(ev.name, ev.ts_ns);
-      } else if (ev.type == obs::kFlightEnd) {
-        for (std::size_t i = open.size(); i-- > 0;) {
-          if (open[i].first != ev.name) continue;
-          span(row, 0, ev.name,
-               static_cast<double>(open[i].second - submit_ns) / 1000.0,
-               static_cast<double>(ev.ts_ns - open[i].second) / 1000.0);
-          open.erase(open.begin() + static_cast<std::ptrdiff_t>(i));
-          break;
-        }
-      }
-    }
-    for (const auto& [name, ts_ns] : open) {
-      span(row, 0, name, static_cast<double>(ts_ns - submit_ns) / 1000.0,
-           static_cast<double>(last_ns - ts_ns) / 1000.0);
+    for (const obs::FlightSpan& open : flight.spans()) {
+      span(row, open.name,
+           static_cast<double>(open.begin_ns - submit_ns) / 1000.0,
+           static_cast<double>(flight.last_ns() - open.begin_ns) / 1000.0);
     }
   }
 
@@ -845,6 +777,7 @@ void Service::run_supervised(std::uint64_t id) {
     long deadline_ms = 0;
     bool reduced_budget = false;
     Clock::time_point submitted_at;
+    std::int64_t submit_steady_ns = 0;
     {
       util::MutexLock lk(mu_);
       const auto it = jobs_.find(id);
@@ -877,6 +810,7 @@ void Service::run_supervised(std::uint64_t id) {
       deadline_ms = job.req.deadline_ms;
       reduced_budget = job.reduced_budget;
       submitted_at = job.submitted_at;
+      submit_steady_ns = job.submit_steady_ns;
     }
 
     // Remaining end-to-end budget.  An already-expired job still gets 1 ms:
@@ -895,7 +829,7 @@ void Service::run_supervised(std::uint64_t id) {
     WorkerTelemetry telemetry;
     telemetry.trace_path = trace_spool_path(id, attempt);
     telemetry.flight_path = flight_spool_path(id, attempt);
-    telemetry.flight_slots = cfg_.flight_slots;
+    telemetry.submit_steady_ns = submit_steady_ns;
     // Stale files from a previous incarnation of this (id, attempt) pair
     // (daemon restart mid-job) must not masquerade as this attempt's story.
     remove_spool_file(telemetry.trace_path);
@@ -1250,7 +1184,7 @@ void Service::finalize(std::uint64_t id, JobOutcome outcome, std::string body,
 void Service::record_attempt_end(std::uint64_t id, int attempt,
                                  const std::string& fate) {
   // Attempts that died without producing a result get their story from the
-  // flight-recorder ring — read outside the lock (it mmaps a file).
+  // flight recorder — read outside the lock (it mmaps a file).
   std::vector<std::string> stack;
   std::vector<std::pair<std::string, long long>> counter_totals;
   const bool died =

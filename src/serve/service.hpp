@@ -86,8 +86,6 @@ struct ServiceConfig {
   std::size_t terminal_retain = 1024;
   /// Checkpoint cadence inside run/validate workers.
   std::int64_t checkpoint_every = 200;
-  /// Flight-recorder ring capacity per worker attempt (64-byte records).
-  std::uint32_t flight_slots = 256;
   /// Per-attempt worker resource limits, applied with setrlimit in the
   /// child before any real work (0 = unlimited).  A worker that trips one
   /// is classified resource-exhausted — retried once at a reduced search
@@ -137,8 +135,8 @@ std::string to_json(const ServiceStats& stats);
 /// One supervised worker attempt in a job's retry history.  Times are
 /// milliseconds relative to the job's admission.  For attempts that died
 /// without a result (crash, watchdog SIGKILL) the span stack and counter
-/// totals are recovered from the worker's flight-recorder ring — the
-/// forensic record of what the worker was doing when it died.
+/// totals are read from the worker's flight recorder — the forensic
+/// record of what the worker was doing when it died.
 struct AttemptRecord {
   int attempt = 0;  ///< 1-based
   long start_ms = 0;
@@ -294,10 +292,10 @@ class Service {
                    std::string* body_out) CRUSADE_EXCLUDES(mu_);
   /// Merged Chrome-trace timeline for one job (DESIGN.md §15.2): the
   /// daemon's queue-wait / attempt / retry-backoff spans on pid 1 plus one
-  /// process row per worker attempt, rebased onto the job's admission time.
-  /// Attempts that finished contribute their serialized trace file;
-  /// attempts that crashed contribute spans reconstructed from their
-  /// flight-recorder ring.  std::nullopt when the id is unknown.
+  /// process row per worker attempt, timed from the job's admission.
+  /// Attempts that finished contribute the row they wrote; attempts that
+  /// crashed contribute the spans open in their flight recorder.
+  /// std::nullopt when the id is unknown.
   std::optional<std::string> job_trace_json(std::uint64_t id) const
       CRUSADE_EXCLUDES(mu_);
   ServiceStats stats() const CRUSADE_EXCLUDES(mu_);

@@ -40,22 +40,43 @@ extern "C" void worker_stop_signal(int) {
 
 extern "C" void worker_ignore_signal(int) {}
 
-/// Trace destination for this attempt, set once by run_worker_attempt so
-/// the [[noreturn]] finish() paths deep in the pipeline can flush the
-/// worker's spans without threading telemetry through every signature.
-std::string g_trace_path;  // NOLINT(runtime/string) — worker is short-lived
+/// Telemetry for this attempt, set once by run_worker_attempt so the
+/// [[noreturn]] finish() paths deep in the pipeline can flush the worker's
+/// spans without threading telemetry through every signature.
+WorkerTelemetry g_telemetry;
 int g_trace_attempt = 0;
 
-/// Best-effort trace flush: a full disk or unwritable spool must never
-/// change the job's fate, so every failure is swallowed.
+/// Writes this attempt's row of the job trace, then unlinks the flight
+/// file: a finished attempt needs no crash evidence, and the mapping
+/// outlives the name.  Best-effort: a full disk or unwritable spool must
+/// never change the job's fate, so every failure is swallowed, and the
+/// flight file stays when the row did not land.
 void flush_worker_trace() {
-  if (g_trace_path.empty()) return;
+  if (g_telemetry.trace_path.empty()) return;
   try {
-    diskfmt::write_framed_file(g_trace_path, kWorkerTraceMagic,
-                               kWorkerTraceVersion,
-                               worker_trace_text(g_trace_attempt));
+    const long long row = 1000 + g_trace_attempt;
+    tools::JsonWriter w;
+    w.begin_array()
+        .begin_object()
+        .key("name").value("process_name")
+        .key("ph").value("M")
+        .key("pid").value(row)
+        .key("tid").value(0)
+        .key("args").begin_object()
+        .key("name").value("worker attempt " +
+                           std::to_string(g_trace_attempt) + " (pid " +
+                           std::to_string(::getpid()) + ")")
+        .end_object()
+        .end_object();
+    obs::append_trace_events(w, row, g_telemetry.submit_steady_ns);
+    w.end_array();
+    diskfmt::write_framed_file(g_telemetry.trace_path, kWorkerTraceMagic,
+                               kWorkerTraceVersion, w.str());
   } catch (...) {
+    return;
   }
+  if (!g_telemetry.flight_path.empty())
+    (void)::unlink(g_telemetry.flight_path.c_str());
 }
 
 std::string hex64(std::uint64_t v) {
@@ -314,22 +335,6 @@ std::string error_body(JobKind kind, const char* klass,
 
 }  // namespace
 
-std::string worker_trace_text(int attempt) {
-  std::ostringstream out;
-  out << "CRUSADE-WORKER-TRACE 1 " << ::getpid() << " " << attempt << " "
-      << obs::epoch_ns() << "\n";
-  for (const obs::TraceEvent& ev : obs::events()) {
-    // Taxonomy names (C007) are identifier-safe, so a space-delimited line
-    // with the name last parses unambiguously.
-    out << "E " << ev.ts_ns << " " << ev.dur_ns << " " << ev.tid << " "
-        << ev.name << "\n";
-  }
-  for (const auto& [name, value] : obs::counters()) {
-    out << "C " << value << " " << name << "\n";
-  }
-  return out.str();
-}
-
 void run_worker_attempt(const SubmitRequest& request, int attempt,
                         const std::string& result_path,
                         const std::string& ckpt_path, long deadline_ms,
@@ -348,20 +353,21 @@ void run_worker_attempt(const SubmitRequest& request, int attempt,
   // Re-enable obs past the atfork reinit (the child handler swapped in a
   // fresh, empty registry/sink): from here this worker records its own
   // spans and counters, flushed to telemetry.trace_path on every finish
-  // path and mirrored into the flight-recorder ring so a SIGKILL still
-  // leaves evidence.
+  // path and mirrored into the flight recorder so a SIGKILL still leaves
+  // evidence.
   if (!telemetry.trace_path.empty() || !telemetry.flight_path.empty()) {
     obs::reset();
     obs::set_enabled(true);
     if (!telemetry.flight_path.empty())
-      obs::arm_flight_recorder(telemetry.flight_path, telemetry.flight_slots);
-    g_trace_path = telemetry.trace_path;
+      obs::arm_flight_recorder(telemetry.flight_path);
+    g_telemetry = telemetry;
     g_trace_attempt = attempt;
   }
   obs::count("serve.worker.attempts");
-  // Deliberately never closed (every exit below is _exit): its begin record
-  // in the flight ring marks this attempt as in-progress, which is exactly
-  // the evidence the supervisor wants from a crashed worker.
+  // Deliberately never closed (every exit below is _exit): it stays at the
+  // bottom of the flight recorder's stack, marking this attempt as
+  // in-progress, which is exactly the evidence the supervisor wants from a
+  // crashed worker.
   obs::Span attempt_span("serve.worker.attempt");
 
   apply_limits(limits);

@@ -46,15 +46,17 @@ enum WorkerExit : int {
 /// an empty path disables that channel, and no telemetry failure ever
 /// changes a job's fate.
 struct WorkerTelemetry {
-  /// Line-format worker trace (spans + counter totals + the worker's trace
-  /// epoch), written via atomic_write_file just before the result body so
-  /// the supervisor can merge it into the job's Chrome-trace timeline.
+  /// This attempt's row of the job's merged Chrome trace: one JSON array
+  /// (the row's process_name event, then its spans) in a CTRC frame,
+  /// written just before the result body.
   std::string trace_path;
-  /// mmap'd flight-recorder ring (obs/flight.hpp) armed before any real
-  /// work; survives SIGKILL and carries the crash evidence.
+  /// mmap'd flight-recorder state (obs/flight.hpp) armed before any real
+  /// work; survives SIGKILL and carries the crash evidence.  Unlinked once
+  /// the trace has landed.
   std::string flight_path;
-  /// Ring capacity in 64-byte records.
-  std::uint32_t flight_slots = 256;
+  /// Steady-clock instant of the job's admission, which the row's
+  /// timestamps are measured from.
+  std::int64_t submit_steady_ns = 0;
 };
 
 /// Per-attempt resource governance, applied with setrlimit before any real
@@ -87,13 +89,5 @@ struct WorkerLimits {
                                      std::int64_t checkpoint_every,
                                      const WorkerTelemetry& telemetry,
                                      const WorkerLimits& limits = {});
-
-/// Serializes the worker-local obs state (trace epoch, completed spans,
-/// counter totals) into the line format the supervisor's trace merge reads:
-///   CRUSADE-WORKER-TRACE 1 <pid> <attempt> <epoch_ns>
-///   E <ts_ns> <dur_ns> <tid> <name>     (one per completed span)
-///   C <value> <name>                    (one per counter)
-/// Exposed for tests; run_worker_attempt writes it on every finish path.
-std::string worker_trace_text(int attempt);
 
 }  // namespace crusade::serve

@@ -6,11 +6,12 @@
 // the schemas stay consistent and parseable: objects/arrays are closed in
 // order, strings are escaped, numbers are emitted in locale-independent
 // printf form.  Library-side serializers (AnalysisReport::to_json,
-// RunStats::to_json, obs::trace_json) emit self-contained documents; the
-// writer splices them in verbatim with `raw()`.
+// RunStats::to_json, obs::trace_json) write through it too and emit
+// self-contained documents; the writer splices them in verbatim with
+// `raw()`.
 //
-// Lives in src/util so library code (src/serve) can emit the same envelopes
-// the CLI does; tools/json_writer.hpp forwards here for existing includes.
+// Lives in src/util so library code (src/analyze, src/obs, src/serve) emits
+// the same envelopes the CLI does.
 #pragma once
 
 #include <cstdio>

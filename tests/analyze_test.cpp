@@ -288,6 +288,37 @@ task a deadline 1ns exec MC68360=1ms
   EXPECT_NE(text.find("spec.txt line 3: error: [A011]"), std::string::npos);
 }
 
+TEST(AnalyzeTest, JsonBytesArePinned) {
+  // Lint job signatures hash these bytes, so the exact form is pinned:
+  // escapes, field order, and the dominated-type index lists.
+  AnalysisReport report;
+  Diagnostic error;
+  error.id = "A011";
+  error.severity = Severity::Error;
+  error.line = 3;
+  error.message = "say \"hi\" \\ to\nall\tnow\x01";
+  error.paper_ref = "§3";
+  report.diagnostics.push_back(error);
+  Diagnostic note;
+  note.id = "A020";
+  note.severity = Severity::Note;
+  note.message = "plain";
+  report.diagnostics.push_back(note);
+  report.dominated_pes = {0, 1, 1};
+  report.dominated_links = {1, 0};
+  EXPECT_EQ(report.to_json(),
+            "{\"errors\":1,\"warnings\":0,\"notes\":1,\"diagnostics\":["
+            "{\"id\":\"A011\",\"severity\":\"error\",\"line\":3,"
+            "\"message\":\"say \\\"hi\\\" \\\\ to\\nall\\tnow\\u0001\","
+            "\"paper_ref\":\"§3\"},"
+            "{\"id\":\"A020\",\"severity\":\"note\",\"line\":0,"
+            "\"message\":\"plain\",\"paper_ref\":\"\"}],"
+            "\"dominated_pe_types\":[1,2],\"dominated_link_types\":[0]}");
+  EXPECT_EQ(AnalysisReport{}.to_json(),
+            "{\"errors\":0,\"warnings\":0,\"notes\":0,\"diagnostics\":[],"
+            "\"dominated_pe_types\":[],\"dominated_link_types\":[]}");
+}
+
 // --- preflight wiring -----------------------------------------------------
 
 TEST(AnalyzeTest, PreflightTurnsLintErrorsIntoHonestInfeasibility) {

@@ -23,7 +23,6 @@
 #include "core/crusade.hpp"
 #include "example_specs.hpp"
 #include "ft/crusade_ft.hpp"
-#include "json_writer.hpp"
 #include "obs/flight.hpp"
 #include "obs/histogram.hpp"
 #include "obs/obs.hpp"
@@ -31,6 +30,7 @@
 #include "tgff/generator.hpp"
 #include "tgff/profiles.hpp"
 #include "util/atomic_file.hpp"
+#include "util/json_writer.hpp"
 
 namespace crusade {
 namespace {
@@ -349,6 +349,36 @@ TEST_F(ObsTest, RunStatsJsonRoundTrips) {
   const std::string table = stats.table();
   EXPECT_NE(table.find("allocation"), std::string::npos);
   EXPECT_NE(table.find("sched.evals"), std::string::npos);
+}
+
+TEST(RunStatsJson, BytesArePinned) {
+  // The CLI, the daemon's result bodies and the benches all splice these
+  // bytes verbatim, so the exact form is pinned.
+  RunStats stats;
+  stats.preflight_seconds = 0.0000004;
+  stats.allocation_seconds = 0.25;
+  stats.survive_seconds = 12.3456789;
+  stats.total_seconds = 13;
+  stats.sched_evals = 42;
+  stats.alloc_candidates = 1234567890123;
+  stats.survive_ft_lies = -1;
+  EXPECT_EQ(stats.to_json(),
+            "{\"phases\":{\"preflight\":0.000000,\"clustering\":0.000000,"
+            "\"allocation\":0.250000,\"reconfig\":0.000000,"
+            "\"interface\":0.000000,\"repair\":0.000000,"
+            "\"validation\":0.000000,\"diagnosis\":0.000000,"
+            "\"ft.transform\":0.000000,\"ft.dependability\":0.000000,"
+            "\"survive\":12.345679,\"total\":13.000000},"
+            "\"counters\":{\"sched.evals\":42,\"sched.invocations\":0,"
+            "\"sched.finish_estimates\":0,"
+            "\"alloc.candidates\":1234567890123,\"alloc.clusters\":0,"
+            "\"alloc.repair_moves\":0,\"merge.tried\":0,"
+            "\"merge.accepted\":0,\"merge.rejected_cost\":0,"
+            "\"merge.rejected_schedule\":0,\"merge.rejected_validator\":0,"
+            "\"merge.reschedules\":0,\"merge.consolidations\":0,"
+            "\"interface.candidates\":0,\"ft.check_tasks\":0,"
+            "\"ft.checks_shared\":0,\"ft.spares\":0,"
+            "\"survive.scenarios\":0,\"survive.ft_lies\":-1}}");
 }
 
 // --- the CLI JSON writer -------------------------------------------------
@@ -718,7 +748,7 @@ class FlightTest : public ObsTest {
 };
 
 TEST_F(FlightTest, RecordsSpansAndCountersReadableWhileArmed) {
-  ASSERT_TRUE(obs::arm_flight_recorder(path_, 64));
+  ASSERT_TRUE(obs::arm_flight_recorder(path_));
   obs::count("serve.worker.attempts");
   obs::count("sched.evals", 5);
   obs::count("sched.evals", 2);
@@ -746,15 +776,27 @@ TEST_F(FlightTest, RecordsSpansAndCountersReadableWhileArmed) {
   EXPECT_TRUE(after.span_stack().empty());
 }
 
-TEST_F(FlightTest, RingWrapKeepsTheNewestRecords) {
-  ASSERT_TRUE(obs::arm_flight_recorder(path_, 8));
-  for (int i = 0; i < 100; ++i) obs::count("serve.attempts");
+TEST_F(FlightTest, HotLoopKeepsThePhaseAndEveryCounter) {
+  // The allocator's inner loop records a span and a count per candidate,
+  // thousands of times per phase: the file must still name the phase the
+  // worker is in and every counter it ever touched, not only the newest.
+  ASSERT_TRUE(obs::arm_flight_recorder(path_));
+  obs::count("serve.worker.attempts");
+  obs::Span attempt("serve.worker.attempt");
+  obs::Span phase("phase.allocation");
+  for (int i = 0; i < 5000; ++i) {
+    OBS_SPAN("alloc.eval");
+    obs::count("alloc.sched_evals");
+  }
+  obs::Span sched("sched.list");
   const obs::FlightSnapshot snap = obs::read_flight(path_);
   ASSERT_TRUE(snap.valid());
-  EXPECT_EQ(snap.total_records(), 100u);
-  ASSERT_EQ(snap.events().size(), 8u);  // only the last ring's worth survive
-  EXPECT_EQ(snap.events().back().value, 100);  // running total, newest last
-  EXPECT_EQ(snap.events().front().value, 93);
+  EXPECT_EQ(snap.span_stack(),
+            (std::vector<std::string>{"serve.worker.attempt",
+                                      "phase.allocation", "sched.list"}));
+  EXPECT_EQ(snap.counter_totals(),
+            (std::vector<std::pair<std::string, long long>>{
+                {"alloc.sched_evals", 5000}, {"serve.worker.attempts", 1}}));
 }
 
 TEST_F(FlightTest, SurvivesSigkillMidSpan) {
@@ -765,7 +807,7 @@ TEST_F(FlightTest, SurvivesSigkillMidSpan) {
     // handlers, no flush, exactly what the watchdog does to a hung worker.
     obs::reset();
     obs::set_enabled(true);
-    if (!obs::arm_flight_recorder(path_, 64)) ::_exit(2);
+    if (!obs::arm_flight_recorder(path_)) ::_exit(2);
     obs::count("serve.worker.attempts");
     obs::Span attempt("serve.worker.attempt");
     obs::Span hang("serve.worker.hang");
@@ -780,7 +822,7 @@ TEST_F(FlightTest, SurvivesSigkillMidSpan) {
   ASSERT_TRUE(snap.valid());
   EXPECT_EQ(snap.pid(), static_cast<std::uint32_t>(child));
   const std::vector<std::string> stack = snap.span_stack();
-  ASSERT_EQ(stack.size(), 2u) << snap.events().size();
+  ASSERT_EQ(stack.size(), 2u);
   EXPECT_EQ(stack[0], "serve.worker.attempt");
   EXPECT_EQ(stack[1], "serve.worker.hang");
   const auto totals = snap.counter_totals();
@@ -792,12 +834,17 @@ TEST_F(FlightTest, SurvivesSigkillMidSpan) {
 TEST_F(FlightTest, RejectsMissingAndCorruptFiles) {
   EXPECT_FALSE(obs::read_flight("/nonexistent/flight.ring").valid());
   EXPECT_FALSE(obs::read_flight(path_).valid());  // never created
-  // A file with the wrong magic is rejected, not misparsed.
+  // A file of the wrong size or with the wrong magic is rejected, not
+  // misparsed.
   atomic_write_file(path_, std::string(4096, 'x'));
   EXPECT_FALSE(obs::read_flight(path_).valid());
-  // Arming rejects degenerate slot counts.
-  EXPECT_FALSE(obs::arm_flight_recorder(path_, 0));
-  EXPECT_FALSE(obs::flight_recorder_armed());
+  ASSERT_TRUE(obs::arm_flight_recorder(path_));
+  obs::disarm_flight_recorder();
+  std::string bytes = read_file(path_);
+  ASSERT_TRUE(obs::read_flight(path_).valid());
+  bytes[0] = static_cast<char>(bytes[0] ^ 0x5a);
+  atomic_write_file(path_, bytes);
+  EXPECT_FALSE(obs::read_flight(path_).valid());
 }
 
 }  // namespace

@@ -135,6 +135,71 @@ std::string json_field(const std::string& body, const std::string& key) {
   return body.substr(start, end - start);
 }
 
+/// Strict JSON syntax check, values not built: a merged trace must load in
+/// any trace viewer.
+class JsonSyntax {
+ public:
+  static bool valid(const std::string& text) {
+    JsonSyntax p(text);
+    return p.value() && p.skip_ws() == text.size();
+  }
+
+ private:
+  explicit JsonSyntax(const std::string& text) : s_(text) {}
+  std::size_t skip_ws() {
+    while (i_ < s_.size() && std::strchr(" \t\r\n", s_[i_]) != nullptr) ++i_;
+    return i_;
+  }
+  bool eat(char c) {
+    if (skip_ws() >= s_.size() || s_[i_] != c) return false;
+    ++i_;
+    return true;
+  }
+  bool string() {
+    if (skip_ws() >= s_.size() || s_[i_] != '"') return false;
+    for (++i_; i_ < s_.size(); ++i_) {
+      if (s_[i_] == '\\') {
+        ++i_;
+      } else if (s_[i_] == '"') {
+        ++i_;
+        return true;
+      } else if (static_cast<unsigned char>(s_[i_]) < 0x20) {
+        return false;
+      }
+    }
+    return false;
+  }
+  bool value() {
+    if (skip_ws() >= s_.size()) return false;
+    const char open = s_[i_];
+    if (open == '{' || open == '[') {
+      const char close = open == '{' ? '}' : ']';
+      ++i_;
+      if (eat(close)) return true;
+      do {
+        if (open == '{' && !(string() && eat(':'))) return false;
+        if (!value()) return false;
+      } while (eat(','));
+      return eat(close);
+    }
+    if (open == '"') return string();
+    for (const std::string word : {"true", "false", "null"}) {
+      if (s_.compare(i_, word.size(), word) == 0) {
+        i_ += word.size();
+        return true;
+      }
+    }
+    const char* start = s_.c_str() + i_;
+    char* end = nullptr;
+    std::strtod(start, &end);
+    i_ += static_cast<std::size_t>(end - start);
+    return end != start;
+  }
+
+  const std::string& s_;
+  std::size_t i_ = 0;
+};
+
 // --- protocol framing ------------------------------------------------------
 
 TEST(ServeProtocolTest, SubmitRoundTrips) {
@@ -550,25 +615,28 @@ TEST(ServeServiceTest, CrashRetriedJobYieldsOneMergedTrace) {
   const auto trace = service.job_trace_json(out.id);
   ASSERT_TRUE(trace.has_value());
   // One timeline, three process rows: the daemon plus both worker attempts
-  // — the crashed first attempt reconstructed from its flight ring, the
-  // successful second from its serialized trace file.
+  // — the crashed first attempt drawn from its flight file, the successful
+  // second spliced from the row it wrote.
   EXPECT_NE(trace->find("\"name\":\"serve.queue_wait\""), std::string::npos);
   EXPECT_NE(trace->find("\"name\":\"serve.attempt\""), std::string::npos);
   EXPECT_NE(trace->find("\"name\":\"serve.retry_backoff\""),
             std::string::npos);
   EXPECT_NE(trace->find("\"pid\":1001"), std::string::npos) << *trace;
   EXPECT_NE(trace->find("\"pid\":1002"), std::string::npos) << *trace;
-  EXPECT_NE(trace->find("serve.worker.attempt"), std::string::npos);
+  EXPECT_NE(trace->find("{\"name\":\"serve.worker.attempt\",\"cat\":"
+                        "\"crusade\",\"ph\":\"X\",\"pid\":1001,"),
+            std::string::npos)
+      << *trace;
   EXPECT_NE(trace->find("\"trace_id\""), std::string::npos);
-  // Structurally sound JSON: balanced braces/brackets (the daemon smoke in
-  // check.sh validates the full Chrome schema with a real parser).
-  long depth = 0;
-  for (const char c : *trace) {
-    if (c == '{' || c == '[') ++depth;
-    if (c == '}' || c == ']') --depth;
-    ASSERT_GE(depth, 0);
-  }
-  EXPECT_EQ(depth, 0);
+  // The daemon smoke in check.sh validates the full Chrome schema.
+  EXPECT_TRUE(JsonSyntax::valid(*trace)) << *trace;
+  // The crashed attempt left only its flight file; the finished one left
+  // only its row, having unlinked its flight file.
+  const std::string jobs = spool.path + "/jobs/" + std::to_string(out.id);
+  struct stat st;
+  EXPECT_EQ(::stat((jobs + ".flight.1").c_str(), &st), 0);
+  EXPECT_EQ(::stat((jobs + ".trace.2").c_str(), &st), 0);
+  EXPECT_NE(::stat((jobs + ".flight.2").c_str(), &st), 0);
 
   // Unknown ids answer nullopt, mirroring STATUS.
   EXPECT_FALSE(service.job_trace_json(424242).has_value());
@@ -584,6 +652,35 @@ TEST(ServeServiceTest, CrashRetriedJobYieldsOneMergedTrace) {
   EXPECT_NE(stats_json.find("\"queue_wait_us\":{\"count\":1"),
             std::string::npos) << stats_json;
   EXPECT_NE(stats_json.find("\"e2e_us\""), std::string::npos);
+  service.stop(true);
+}
+
+TEST(ServeServiceTest, OldFormatWorkerTraceIsSkippedNotSpliced) {
+  TempSpool spool("serve_test_trace_v1");
+  Service service(fast_config(spool.path));
+  const SubmitOutcome out =
+      service.submit(make_request(quickstart_text(), JobKind::Lint));
+  ASSERT_TRUE(out.admitted);
+  ASSERT_EQ(wait_terminal(service, out.id).attempts, 1);
+  const std::string merged = *service.job_trace_json(out.id);
+  EXPECT_NE(merged.find("\"pid\":1001"), std::string::npos) << merged;
+  EXPECT_TRUE(JsonSyntax::valid(merged)) << merged;
+
+  // A version-1 file at the attempt's trace path (the line format an older
+  // daemon's workers wrote) is skipped: the document is exactly the one
+  // with no row for the attempt at all.
+  const std::string trace_path =
+      spool.path + "/jobs/" + std::to_string(out.id) + ".trace.1";
+  ASSERT_EQ(std::remove(trace_path.c_str()), 0);
+  const std::string without = *service.job_trace_json(out.id);
+  EXPECT_EQ(without.find("\"pid\":1001"), std::string::npos) << without;
+  diskfmt::write_framed_file(trace_path, kWorkerTraceMagic, 1,
+                             "CRUSADE-WORKER-TRACE 1 4242 1 1000\n"
+                             "E 0 5000 0 alloc.eval\n"
+                             "C 7 alloc.sched_evals\n");
+  const std::string with_v1 = *service.job_trace_json(out.id);
+  EXPECT_EQ(with_v1, without);
+  EXPECT_TRUE(JsonSyntax::valid(with_v1)) << with_v1;
   service.stop(true);
 }
 
@@ -1668,7 +1765,7 @@ TEST(ServeDurabilityTest, UnpersistedResultStaysQueuedAndReRuns) {
   {
     ServiceConfig cfg = fast_config(spool.path);
     // Room for the request (the spec plus 512 bytes of headroom) but not
-    // for its answer on top of the attempt's flight-recorder file.
+    // for its answer on top of the files the attempt left.
     cfg.disk_budget_bytes = static_cast<long long>(req.spec_text.size()) + 600;
     Service service(cfg);
     const SubmitOutcome out = service.submit(req);
@@ -1786,133 +1883,6 @@ TEST(ServeChaosTest, EveryIdAClientHoldsHasARecord) {
   ASSERT_TRUE(next.admitted);
   EXPECT_GT(next.id, held.rbegin()->first);
   service.stop(false);
-}
-
-TEST(ServeDurabilityTest, JournalLayoutSpoolIsMigrated) {
-  ChaosGuard guard;
-  TempSpool spool("serve_test_legacy");
-  const std::string& root = spool.path;
-  for (const std::string& dir : {root, root + "/jobs", root + "/cache",
-                                 root + "/results", root + "/journal"})
-    ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0) << dir;
-  // The journal layout: job 3's queued frame left next to its answer in
-  // results/ (that layout's persist window), job 5 a cache hit with an
-  // answer and no frame, and the journal itself.
-  diskfmt::write_framed_file(fscktest::record_path(root, 3), kSpoolJobMagic,
-                             kSpoolJobVersion, fscktest::job_frame(3));
-  for (const std::uint64_t id : {3, 5}) {
-    DurableResult r;
-    r.id = id;
-    r.kind = JobKind::Lint;
-    r.outcome = JobOutcome::Ok;
-    r.cached = id == 5;
-    r.finish_seq = static_cast<int>(id);
-    r.body = "{\"answer\":" + std::to_string(id) + "}";
-    diskfmt::write_framed_file(root + "/results/" + std::to_string(id) + ".res",
-                               kDurableResultMagic, kDurableResultVersion,
-                               encode_durable_result(r));
-  }
-  atomic_write_file(root + "/journal/wal", "journal bytes");
-
-  std::map<std::uint64_t, std::string> answers;
-  struct stat st;
-  {
-    // Every rename fails: no answer can move, so each is read where it is
-    // and job 3's stale frame is not run.
-    iofault::Plan plan;
-    plan.seed = 9;
-    plan.rate = 1.0;
-    plan.kinds = 1u << static_cast<unsigned>(iofault::Kind::RenameFail);
-    iofault::arm(plan);
-    ServiceConfig cfg = fast_config(root);
-    cfg.start_paused = true;
-    Service service(cfg);
-    iofault::disarm();
-    EXPECT_EQ(service.recovered_jobs(), 0) << "an answered job ran again";
-    for (const std::uint64_t id : {3, 5}) {
-      ASSERT_TRUE(service.status(id).has_value()) << "job " << id;
-      EXPECT_EQ(service.status(id)->state, JobState::Done);
-      EXPECT_EQ(*service.result_body(id),
-                "{\"answer\":" + std::to_string(id) + "}");
-      answers[id] = to_json(*service.status(id));
-    }
-    service.stop(false);
-  }
-  EXPECT_EQ(::stat((root + "/results/3.res").c_str(), &st), 0);
-  {
-    Service service(fast_config(root));  // calm: the answers move
-    EXPECT_EQ(service.recovered_jobs(), 0) << "an answered job ran again";
-    for (const auto& [id, json] : answers) {
-      ASSERT_TRUE(service.status(id).has_value()) << "job " << id;
-      EXPECT_EQ(to_json(*service.status(id)), json);
-    }
-    EXPECT_EQ(service.stats().ledger_drift_bytes, 0);
-    const SubmitOutcome next =
-        service.submit(make_request(quickstart_text(), JobKind::Lint));
-    ASSERT_TRUE(next.admitted);
-    EXPECT_EQ(next.id, 6u) << "a migrated answer's id was reissued";
-    wait_terminal(service, next.id);
-    service.stop(true);
-  }
-  EXPECT_NE(::stat((root + "/results").c_str(), &st), 0);
-  EXPECT_NE(::stat((root + "/journal").c_str(), &st), 0);
-  // The migrated answers are ordinary job records now.
-  Service service(fast_config(root));
-  for (const auto& [id, json] : answers) {
-    ASSERT_TRUE(service.status(id).has_value()) << "job " << id;
-    EXPECT_EQ(to_json(*service.status(id)), json);
-  }
-  service.stop(true);
-}
-
-TEST(ServeFsckTest, JournalLayoutMigrationUnderFaults) {
-  ChaosGuard guard;
-  TempSpool spool("serve_test_fsck_legacy");
-  const std::string& root = spool.path;
-  for (const std::string& dir :
-       {root, root + "/jobs", root + "/results", root + "/journal"})
-    ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0) << dir;
-  DurableResult answer;
-  answer.id = 5;
-  answer.kind = JobKind::Lint;
-  answer.outcome = JobOutcome::Ok;
-  answer.body = "{\"answer\":5}";
-  diskfmt::write_framed_file(root + "/results/5.res", kDurableResultMagic,
-                             kDurableResultVersion,
-                             encode_durable_result(answer));
-  iofault::Plan plan;
-  plan.seed = 4;
-  plan.rate = 1.0;
-  // A torn move puts half the answer under jobs/: the same scan's CRC
-  // catches it, and the job answers with a tombstone.
-  plan.kinds = 1u << static_cast<unsigned>(iofault::Kind::TornRename);
-  iofault::arm(plan);
-  const SpoolScan torn = scan_spool(root, /*repair=*/true);
-  iofault::disarm();
-  EXPECT_EQ(torn.report.count(FsckFinding::CorruptSpoolEntry), 1);
-  ASSERT_EQ(torn.terminal.size(), 1u);
-  EXPECT_EQ(torn.terminal[0].id, 5u);
-  EXPECT_NE(torn.terminal[0].body.find("fsck-lost-job"), std::string::npos);
-  // A journal the disk will not unlink stays, charged as drift, until a
-  // calm scrub removes it.
-  ASSERT_EQ(::mkdir((root + "/journal").c_str(), 0755), 0);
-  atomic_write_file(root + "/journal/wal", "journal bytes");
-  plan.kinds = 1u << static_cast<unsigned>(iofault::Kind::Eio);
-  iofault::arm(plan);
-  const FsckReport refused = fsck_spool(root, /*repair=*/true);
-  iofault::disarm();
-  EXPECT_EQ(refused.count(FsckFinding::LedgerDrift), 1) << refused.to_json();
-  struct stat st;
-  EXPECT_EQ(::stat((root + "/journal/wal").c_str(), &st), 0);
-  (void)fsck_spool(root, /*repair=*/true);
-  EXPECT_NE(::stat((root + "/journal").c_str(), &st), 0);
-  EXPECT_NE(::stat((root + "/results").c_str(), &st), 0);
-  fscktest::expect_converged(fsck_spool(root, /*repair=*/true));
-  const DurableResult tomb = decode_durable_result(
-      diskfmt::read_framed_file(fscktest::record_path(root, 5),
-                                kDurableResultMagic, kDurableResultVersion)
-          .payload);
-  EXPECT_EQ(tomb.outcome, JobOutcome::FailedHonest);
 }
 
 TEST(ServeDurabilityTest, RetentionKeepsACorruptRecordItCouldNotQuarantine) {

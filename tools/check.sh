@@ -188,9 +188,9 @@ fi
 
 stage "serve telemetry smoke (4 clients + merged job trace)"
 # Live daemon, four concurrent clients, then one crash-retried synthesis:
-# attempt 1 dies mid-run (its spans come from the flight-recorder ring),
-# attempt 2 resumes and finishes (its spans come from the serialized worker
-# trace).  `crusade trace --job` must merge all of it into one valid Chrome
+# attempt 1 dies mid-run (its open spans come from its flight file),
+# attempt 2 resumes and finishes (its spans come from the row it wrote).
+# `crusade trace --job` must merge all of it into one valid Chrome
 # trace-event timeline.
 tele_sock="build-ci/crusaded.tele.sock"
 tele_spool="build-ci/crusaded.tele.spool"
@@ -244,11 +244,18 @@ for e in events:
     by_row.setdefault((e["pid"], e["tid"]), []).append(e)
 
 # Process rows: the daemon (pid 1) plus both worker attempts of the
-# crash-retried job (pids 1001 and 1002 — attempt 1 from its flight ring,
-# attempt 2 from its trace file).
+# crash-retried job (pids 1001 and 1002 — attempt 1 from its flight file,
+# attempt 2 from the row it wrote).
 pids = {pid for pid, _ in by_row}
 assert 1 in pids, f"no daemon row in {sorted(pids)}"
 assert {1001, 1002} <= pids, f"expected both attempt rows, got {sorted(pids)}"
+# The crashed attempt's row names the attempt it died in; the finished
+# attempt's row carries its synthesis.
+row_names = {}
+for (pid, _), spans in by_row.items():
+    row_names.setdefault(pid, set()).update(e["name"] for e in spans)
+assert "serve.worker.attempt" in row_names[1001], sorted(row_names[1001])
+assert "crusade.run" in row_names[1002], sorted(row_names[1002])
 
 names = {e["name"] for e in events if e["ph"] == "X"}
 assert "serve.queue_wait" in names and "serve.attempt" in names, names

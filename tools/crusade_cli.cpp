@@ -51,12 +51,12 @@
 #include "core/report.hpp"
 #include "ft/crusade_ft.hpp"
 #include "graph/spec_io.hpp"
-#include "json_writer.hpp"
 #include "obs/obs.hpp"
 #include "serve/client.hpp"
 #include "util/run_control.hpp"
 #include "tgff/profiles.hpp"
 #include "util/atomic_file.hpp"
+#include "util/json_writer.hpp"
 
 using namespace crusade;
 
