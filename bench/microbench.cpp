@@ -1,9 +1,11 @@
 // google-benchmark microbenchmarks for the hot kernels of the co-synthesis
-// inner loop: periodic-window overlap, timeline placement, priority levels,
-// list scheduling and the FPGA router.
+// inner loop (periodic-window overlap, timeline placement, priority levels,
+// list scheduling and the FPGA router) and for the per-run setup a synthesis
+// pays before its search (flattening, preflight and clustering).
 #include <benchmark/benchmark.h>
 
 #include "alloc/cluster.hpp"
+#include "analyze/analyzer.hpp"
 #include "fpga/delay.hpp"
 #include "obs/obs.hpp"
 #include "sched/scheduler.hpp"
@@ -71,6 +73,22 @@ const Specification& bench_spec() {
   return spec;
 }
 
+void BM_FlatSpec(benchmark::State& state) {
+  for (auto _ : state) {
+    const FlatSpec flat(bench_spec());
+    benchmark::DoNotOptimize(flat.fingerprint());
+  }
+}
+BENCHMARK(BM_FlatSpec);
+
+void BM_Preflight(benchmark::State& state) {
+  static const ResourceLibrary lib = telecom_1999();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(analyze_specification(bench_spec(), lib));
+  }
+}
+BENCHMARK(BM_Preflight);
+
 void BM_PriorityLevels(benchmark::State& state) {
   static const ResourceLibrary lib = telecom_1999();
   const FlatSpec flat(bench_spec());
@@ -85,8 +103,10 @@ BENCHMARK(BM_PriorityLevels);
 void BM_Clustering(benchmark::State& state) {
   static const ResourceLibrary lib = telecom_1999();
   const FlatSpec flat(bench_spec());
+  const CanonicalTimes canon = canonical_times(flat, lib);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cluster_tasks(flat, lib, ClusteringParams{}));
+    benchmark::DoNotOptimize(
+        cluster_tasks(flat, lib, canon, ClusteringParams{}));
   }
 }
 BENCHMARK(BM_Clustering);

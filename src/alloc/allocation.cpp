@@ -110,8 +110,7 @@ PriorityLevels current_priority_levels(const Architecture& arch,
 
 PriorityLevels scheduling_levels(const FlatSpec& flat,
                                  const ResourceLibrary& lib) {
-  return priority_levels(flat, default_task_times(flat, lib),
-                         default_edge_times(flat, lib));
+  return canonical_times(flat, lib).levels;
 }
 
 namespace {
@@ -138,15 +137,13 @@ ScheduleCutoff cutoff_to_beat(const ScheduleResult& best) {
 }
 
 Allocator::Allocator(const FlatSpec& flat, const ResourceLibrary& lib,
+                     const CanonicalTimes& canon,
                      const CompatibilityMatrix* compat, AllocParams params)
     : flat_(flat),
       lib_(lib),
+      canon_(canon),
       compat_(compat),
-      params_(std::move(params)),
-      default_task_time_(default_task_times(flat, lib)),
-      default_edge_time_(default_edge_times(flat, lib)) {
-  sched_levels_ = priority_levels(flat_, default_task_time_,
-                                  default_edge_time_);
+      params_(std::move(params)) {
   optimistic_exec_.assign(flat_.task_count(), 0);
   for (int tid = 0; tid < flat_.task_count(); ++tid) {
     const Task& t = flat_.task(tid);
@@ -510,7 +507,7 @@ AllocationOutcome Allocator::run(const std::vector<Cluster>& clusters,
   std::vector<double> cluster_priority(clusters.size(), 0);
   PriorityLevels levels =
       current_priority_levels(state.arch, flat_, lib_, outcome.task_cluster,
-                              default_task_time_, default_edge_time_);
+                              canon_.task, canon_.edge);
   auto refresh_cluster_priorities = [&]() {
     for (std::size_t c = 0; c < clusters.size(); ++c) {
       if (state.placed[c]) continue;
@@ -658,8 +655,8 @@ AllocationOutcome Allocator::run(const std::vector<Cluster>& clusters,
     // Priorities shift once actual execution/communication times are known
     // (§5: recomputed after each allocation).
     levels = current_priority_levels(state.arch, flat_, lib_,
-                                     outcome.task_cluster, default_task_time_,
-                                     default_edge_time_);
+                                     outcome.task_cluster, canon_.task,
+                                     canon_.edge);
     refresh_cluster_priorities();
 
     if (params_.progress_hook) params_.progress_hook(state);
@@ -684,7 +681,7 @@ ScheduleResult Allocator::schedule_architecture(
   problem.task_optimistic = &optimistic_exec_;
   ++stats().sched_invocations;
   ++stats().finish_estimates;
-  return run_list_scheduler(std::move(problem), sched_levels_, base, cutoff);
+  return run_list_scheduler(std::move(problem), canon_.levels, base, cutoff);
 }
 
 int Allocator::evacuate_devices(AllocationOutcome& outcome,

@@ -168,9 +168,13 @@ class Allocator {
   /// allocation driven by the specification's compatibility vectors (§4.2),
   /// with reconfiguration charged to the boot-time requirement.  Null: one
   /// mode per device, with reboots in the frame schedule (see
-  /// make_sched_problem).
+  /// make_sched_problem).  `canon` is canonical_times(flat, lib); like
+  /// `flat` and `lib` it must outlive the allocator.
   Allocator(const FlatSpec& flat, const ResourceLibrary& lib,
-            const CompatibilityMatrix* compat, AllocParams params);
+            const CanonicalTimes& canon, const CompatibilityMatrix* compat,
+            AllocParams params);
+  Allocator(const FlatSpec&, const ResourceLibrary&, CanonicalTimes&&,
+            const CompatibilityMatrix*, AllocParams) = delete;
 
   /// Allocates every cluster; returns the architecture and its schedule.
   /// `seed_arch` (optional) starts allocation from an existing architecture
@@ -289,17 +293,14 @@ class Allocator {
 
   const FlatSpec& flat_;
   const ResourceLibrary& lib_;
+  /// The specification's worst-case time estimates and the canonical
+  /// list-scheduling priorities (see scheduling_levels()).
+  const CanonicalTimes& canon_;
   const CompatibilityMatrix* compat_;
   AllocParams params_;
   /// Minimum feasible execution time per task — the admissible estimate fed
   /// to the scheduler's finish-time estimation pass.
   std::vector<TimeNs> optimistic_exec_;
-  /// The specification's worst-case time estimates (default_task_times /
-  /// default_edge_times): constant for the allocator's lifetime.
-  std::vector<TimeNs> default_task_time_;
-  std::vector<TimeNs> default_edge_time_;
-  /// Canonical list-scheduling priorities (see scheduling_levels()).
-  PriorityLevels sched_levels_;
   /// Per-graph FPGA purity (§4.1) applies while modes are being formed
   /// during allocation; post-allocation moves (repair, evacuation) may pack
   /// freely — contamination can no longer block a future mode.

@@ -42,27 +42,9 @@ bool fits_type(const Accumulator& acc, const PeType& type) {
   return false;
 }
 
-/// Feasible-and-fits mask over PE types for a given member set.
-std::vector<char> feasibility_mask(const std::vector<int>& tasks,
-                                   const FlatSpec& flat,
-                                   const ResourceLibrary& lib) {
-  std::vector<char> mask(lib.pe_count(), 1);
-  Accumulator acc;
-  for (int tid : tasks) acc.add(flat.task(tid));
-  for (PeTypeId pe = 0; pe < lib.pe_count(); ++pe) {
-    for (int tid : tasks)
-      if (!flat.task(tid).feasible_on(pe)) {
-        mask[pe] = 0;
-        break;
-      }
-    if (mask[pe] && !fits_type(acc, lib.pe(pe))) mask[pe] = 0;
-  }
-  return mask;
-}
-
 /// Whether the member set summed in `acc`, all of whose members are
 /// feasible on the types `on_type` marks, still fits an empty instance of
-/// some type once `t` joins it: feasibility_mask of the grown set has a
+/// some type once `t` joins it: the grown set's Cluster::feasible_pe has a
 /// true entry.
 bool fits_some_type(Accumulator acc, const std::vector<char>& on_type,
                     const Task& t, const ResourceLibrary& lib) {
@@ -88,23 +70,36 @@ std::vector<int> task_to_cluster(const std::vector<Cluster>& clusters,
 
 std::vector<Cluster> cluster_tasks(const FlatSpec& flat,
                                    const ResourceLibrary& lib,
+                                   const CanonicalTimes& canon,
                                    const ClusteringParams& params) {
   OBS_SPAN("alloc.cluster_tasks");
   const int n = flat.task_count();
-  std::vector<TimeNs> task_time = default_task_times(flat, lib);
-  std::vector<TimeNs> edge_time = default_edge_times(flat, lib);
-  PriorityLevels levels = priority_levels(flat, task_time, edge_time);
+  std::vector<TimeNs> edge_time = canon.edge;
+  PriorityLevels levels = canon.levels;
 
   std::vector<Cluster> clusters;
   std::vector<char> clustered(n, 0);
 
+  // The members' requirement sums and the types every member is feasible
+  // on, kept as a cluster grows: judging a trial member reads only that
+  // member, and the finished cluster's feasible_pe reads only these.
+  Accumulator acc;
+  std::vector<char> on_type(lib.pe_count());
+  auto start_cluster = [&](int seed) {
+    Cluster c;
+    c.graph = flat.graph_of_task(seed);
+    c.tasks = {seed};
+    acc = Accumulator{};
+    acc.add(flat.task(seed));
+    for (PeTypeId pe = 0; pe < lib.pe_count(); ++pe)
+      on_type[pe] = flat.task(seed).feasible_on(pe);
+    return c;
+  };
   auto finalize_cluster = [&](Cluster& c) {
     c.id = static_cast<int>(clusters.size());
-    Accumulator acc;
     c.preference.assign(lib.pe_count(), 0.0);
     for (int tid : c.tasks) {
       const Task& t = flat.task(tid);
-      acc.add(t);
       if (!t.preference.empty())
         for (PeTypeId pe = 0; pe < lib.pe_count(); ++pe)
           c.preference[pe] += t.preference[pe];
@@ -113,21 +108,21 @@ std::vector<Cluster> cluster_tasks(const FlatSpec& flat,
     c.gates = acc.gates;
     c.pfus = acc.pfus;
     c.pins = acc.pins;
-    c.feasible_pe = feasibility_mask(c.tasks, flat, lib);
+    c.feasible_pe.resize(lib.pe_count());
+    for (PeTypeId pe = 0; pe < lib.pe_count(); ++pe)
+      c.feasible_pe[pe] = on_type[pe] && fits_type(acc, lib.pe(pe));
     double prio = -1e30;
     for (int tid : c.tasks) prio = std::max(prio, levels.task[tid]);
     for (int tid : c.tasks)
       for (int eid : flat.in_edges(tid))
         prio = std::max(prio, levels.edge[eid]);
     c.priority = prio;
-    clusters.push_back(c);
+    clusters.push_back(std::move(c));
   };
 
   if (!params.enabled) {
     for (int tid = 0; tid < n; ++tid) {
-      Cluster c;
-      c.graph = flat.graph_of_task(tid);
-      c.tasks = {tid};
+      Cluster c = start_cluster(tid);
       finalize_cluster(c);
     }
     return clusters;
@@ -159,7 +154,7 @@ std::vector<Cluster> cluster_tasks(const FlatSpec& flat,
       const int tid = flat.topo_order()[stale.top()];
       stale.pop();
       queued[tid] = 0;
-      if (!update_priority_level(flat, task_time, edge_time, tid, levels))
+      if (!update_priority_level(flat, canon.task, edge_time, tid, levels))
         continue;
       for (int eid : flat.in_edges(tid)) {
         const int src = flat.edge_src(eid);
@@ -180,21 +175,11 @@ std::vector<Cluster> cluster_tasks(const FlatSpec& flat,
         seed = tid;
     CRUSADE_REQUIRE(seed >= 0, "no unclustered task despite remaining > 0");
 
-    Cluster c;
-    c.graph = flat.graph_of_task(seed);
-    c.tasks = {seed};
+    Cluster c = start_cluster(seed);
     clustered[seed] = 1;
     --remaining;
 
     // Grow along the highest-priority eligible fan-out (the critical path).
-    // The members' requirement sums and the types every member is feasible
-    // on are kept as the cluster grows, so judging a trial member reads
-    // only that member.
-    Accumulator acc;
-    acc.add(flat.task(seed));
-    std::vector<char> on_type(lib.pe_count());
-    for (PeTypeId pe = 0; pe < lib.pe_count(); ++pe)
-      on_type[pe] = flat.task(seed).feasible_on(pe);
     int cur = seed;
     while (static_cast<int>(c.tasks.size()) < kMaxClusterSize) {
       int best = -1;
@@ -229,7 +214,8 @@ std::vector<Cluster> cluster_tasks(const FlatSpec& flat,
     finalize_cluster(c);
 
     // Priority levels change once the path's communications are zeroed.
-    update_levels(c.tasks);
+    // The cluster moved into `clusters`; read its tasks there.
+    update_levels(clusters.back().tasks);
   }
   return clusters;
 }

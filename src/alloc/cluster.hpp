@@ -44,9 +44,11 @@ struct ClusteringParams {
   bool enabled = true;
 };
 
-/// Runs critical-path clustering over the whole specification.
+/// Runs critical-path clustering over the whole specification, starting
+/// from its canonical times (canonical_times(flat, lib)).
 std::vector<Cluster> cluster_tasks(const FlatSpec& flat,
                                    const ResourceLibrary& lib,
+                                   const CanonicalTimes& canon,
                                    const ClusteringParams& params);
 
 /// Maps each task to its cluster id.

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <map>
 #include <set>
 #include <sstream>
 
@@ -269,9 +268,43 @@ class Analyzer {
         }
     }
 
-    // Edge endpoint sanity, then duplicates over the valid edges.
-    std::map<std::pair<int, int>, int> seen;
+    // The valid edges as out-lists (edge ids in index order), with each
+    // task's valid in-degree and whether any valid edge touches it.
+    const int n = graph.task_count();
+    std::vector<int> offset(n + 1, 0), indegree(n, 0);
+    std::vector<char> touched(n, 0);
     int valid_edges = 0;
+    for (const Edge& edge : graph.edges()) {
+      if (!edge_valid(graph, edge)) continue;
+      ++valid_edges;
+      ++offset[edge.src + 1];
+      ++indegree[edge.dst];
+      touched[edge.src] = touched[edge.dst] = 1;
+    }
+    for (int t = 0; t < n; ++t) offset[t + 1] += offset[t];
+    std::vector<int> out(valid_edges);
+    {
+      std::vector<int> fill(offset.begin(), offset.end() - 1);
+      for (int e = 0; e < graph.edge_count(); ++e)
+        if (edge_valid(graph, graph.edge(e)))
+          out[fill[graph.edge(e).src]++] = e;
+    }
+
+    // A duplicate is a valid edge with an earlier valid edge of the same
+    // endpoints: within the source's out-list, one whose destination an
+    // earlier entry already reached.
+    std::vector<char> duplicate(graph.edge_count(), 0);
+    {
+      std::vector<int> reached_from(n, -1);
+      for (int t = 0; t < n; ++t)
+        for (int i = offset[t]; i < offset[t + 1]; ++i) {
+          const int dst = graph.edge(out[i]).dst;
+          if (reached_from[dst] == t) duplicate[out[i]] = 1;
+          reached_from[dst] = t;
+        }
+    }
+
+    // Edge endpoint sanity, then duplicates over the valid edges.
     for (int e = 0; e < graph.edge_count(); ++e) {
       const Edge& edge = graph.edge(e);
       if (!edge_valid(graph, edge)) {
@@ -282,36 +315,30 @@ class Analyzer {
                  ")",
              "§2.1");
         facts.structure_ok = false;
-        continue;
-      }
-      ++valid_edges;
-      const auto [it, inserted] = seen.insert({{edge.src, edge.dst}, e});
-      if (!inserted)
+      } else if (duplicate[e]) {
         emit("A007", Severity::Note, edge_line(g, e),
              "duplicate edge " + graph.task(edge.src).name + " -> " +
                  graph.task(edge.dst).name + " of graph '" + graph.name() +
                  "' (parallel transfer; legal but often a spec mistake)",
              "§2.1");
+      }
     }
 
     // Cycle detection over the valid edges only (Kahn).
-    std::vector<int> indegree(graph.task_count(), 0);
-    for (const Edge& edge : graph.edges())
-      if (edge_valid(graph, edge)) ++indegree[edge.dst];
     std::vector<int> ready;
-    for (int t = 0; t < graph.task_count(); ++t)
+    for (int t = 0; t < n; ++t)
       if (indegree[t] == 0) ready.push_back(t);
-    std::size_t done = 0;
-    while (done < ready.size()) {
-      const int t = ready[done++];
-      for (const Edge& edge : graph.edges())
-        if (edge_valid(graph, edge) && edge.src == t)
-          if (--indegree[edge.dst] == 0) ready.push_back(edge.dst);
+    for (std::size_t done = 0; done < ready.size(); ++done) {
+      const int t = ready[done];
+      for (int i = offset[t]; i < offset[t + 1]; ++i) {
+        const int dst = graph.edge(out[i]).dst;
+        if (--indegree[dst] == 0) ready.push_back(dst);
+      }
     }
-    if (static_cast<int>(ready.size()) != graph.task_count()) {
+    if (static_cast<int>(ready.size()) != n) {
       std::string members;
       int listed = 0;
-      for (int t = 0; t < graph.task_count() && listed < 3; ++t)
+      for (int t = 0; t < n && listed < 3; ++t)
         if (indegree[t] > 0) {
           members += (listed ? ", " : "") + graph.task(t).name;
           ++listed;
@@ -325,18 +352,13 @@ class Analyzer {
     // Unreachable/isolated tasks: only meaningful once the graph has
     // dataflow at all (an edgeless graph is a set of independent tasks).
     if (valid_edges > 0)
-      for (int t = 0; t < graph.task_count(); ++t) {
-        bool touched = false;
-        for (const Edge& edge : graph.edges())
-          if (edge_valid(graph, edge) && (edge.src == t || edge.dst == t))
-            touched = true;
-        if (!touched)
+      for (int t = 0; t < n; ++t)
+        if (!touched[t])
           emit("A003", Severity::Warning, task_line(g, t),
                "task '" + graph.task(t).name +
                    "' is disconnected from the dataflow of graph '" +
                    graph.name() + "'",
                "§2.1");
-      }
   }
 
   // --- A040: fault-tolerance inputs ------------------------------------

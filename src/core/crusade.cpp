@@ -157,12 +157,14 @@ CrusadeResult Crusade::run() {
     }
   }
 
-  FlatSpec flat(spec_);
-
   // --- pre-processing: clustering (§5) ---
+  // The flat view and the canonical times are built once here, charged to
+  // this lap, and shared by every later stage.
+  const FlatSpec flat(spec_);
+  const CanonicalTimes canon = canonical_times(flat, lib_);
   {
     OBS_SPAN("phase.clustering");
-    result.clusters = cluster_tasks(flat, lib_, params_.clustering);
+    result.clusters = cluster_tasks(flat, lib_, canon, params_.clustering);
     result.task_cluster =
         task_to_cluster(result.clusters, flat.task_count());
   }
@@ -211,7 +213,7 @@ CrusadeResult Crusade::run() {
     write_checkpoint(c);
   };
 
-  Allocator allocator(flat, lib_, declared_compat, alloc_params);
+  Allocator allocator(flat, lib_, canon, declared_compat, alloc_params);
   // A checkpoint taken past allocation resumes AFTER repair + evacuation:
   // re-running them on the already-evacuated architecture would leave the
   // uninterrupted trajectory.  The schedule was never serialized (it is a
@@ -283,8 +285,8 @@ CrusadeResult Crusade::run() {
       result.merge_report = resume->merge_report;
     } else {
       result.merge_report =
-          merge_modes(result.arch, result.schedule, flat, result.compat,
-                      result.task_cluster, merge_params,
+          merge_modes(result.arch, result.schedule, flat, canon.levels,
+                      result.compat, result.task_cluster, merge_params,
                       params_.merge_validator);
     }
   } else {
@@ -329,13 +331,12 @@ CrusadeResult Crusade::run() {
                             : 0;
       }
     };
-    const PriorityLevels sched_levels = scheduling_levels(flat, lib_);
     auto schedule_of = [&](const Architecture& a) {
       ++result.stats.sched_invocations;
       SchedProblem problem =
           make_sched_problem(a, flat, result.task_cluster,
                              /*boot_estimate=*/{}, reboots_in_schedule);
-      return run_list_scheduler(std::move(problem), sched_levels);
+      return run_list_scheduler(std::move(problem), canon.levels);
     };
 
     const auto choices = enumerate_interface_options(

@@ -13,7 +13,8 @@ FieldUpgradeResult try_field_upgrade(const Specification& new_spec,
   // The flat view and clusters belong to the NEW specification; nothing in
   // the result keeps references into it, so a local suffices.
   const FlatSpec flat(new_spec);
-  result.clusters = cluster_tasks(flat, lib, params.clustering);
+  const CanonicalTimes canon = canonical_times(flat, lib);
+  result.clusters = cluster_tasks(flat, lib, canon, params.clustering);
   result.task_cluster =
       task_to_cluster(result.clusters, flat.task_count());
 
@@ -23,7 +24,7 @@ FieldUpgradeResult try_field_upgrade(const Specification& new_spec,
   alloc_params.max_iterations = params.max_iterations;
   alloc_params.allow_new_pes = false;  // the board is what it is
 
-  Allocator allocator(flat, lib,
+  Allocator allocator(flat, lib, canon,
                       params.enable_reconfig && new_spec.compatibility
                           ? &*new_spec.compatibility
                           : nullptr,

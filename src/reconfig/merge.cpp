@@ -168,7 +168,7 @@ int consolidate(Architecture& arch) {
 }  // namespace
 
 MergeReport merge_modes(Architecture& arch, ScheduleResult& schedule,
-                        const FlatSpec& flat,
+                        const FlatSpec& flat, const PriorityLevels& levels,
                         const CompatibilityMatrix& compat,
                         const std::vector<int>& task_cluster,
                         const MergeParams& params,
@@ -188,7 +188,6 @@ MergeReport merge_modes(Architecture& arch, ScheduleResult& schedule,
     report.merge_potential_before = merge_potential(arch);
   }
 
-  const PriorityLevels levels = scheduling_levels(flat, arch.lib());
   auto reschedule = [&](const Architecture& a) {
     ++report.reschedules;
     obs::count("merge.reschedules");

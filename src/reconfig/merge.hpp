@@ -79,12 +79,14 @@ struct MergeReport {
 };
 
 /// Runs the merge loop in place; `schedule` is updated to the final
-/// architecture's schedule.  A validation hook is consulted after each
-/// tentative merge (CRUSADE-FT hooks dependability analysis here, §6).
+/// architecture's schedule.  Every reschedule uses `levels`, the canonical
+/// list-scheduling priorities (scheduling_levels).  A validation hook is
+/// consulted after each tentative merge (CRUSADE-FT hooks dependability
+/// analysis here, §6).
 using MergeValidator = std::function<bool(const Architecture&)>;
 
 MergeReport merge_modes(Architecture& arch, ScheduleResult& schedule,
-                        const FlatSpec& flat,
+                        const FlatSpec& flat, const PriorityLevels& levels,
                         const CompatibilityMatrix& compat,
                         const std::vector<int>& task_cluster,
                         const MergeParams& params,

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/specification.hpp"
@@ -13,6 +14,7 @@ namespace crusade {
 
 class FlatSpec {
  public:
+  /// Throws Error when a task graph is cyclic, as TaskGraph::topo_order.
   explicit FlatSpec(const Specification& spec);
 
   const Specification& spec() const { return *spec_; }
@@ -40,11 +42,11 @@ class FlatSpec {
   }
   const TaskGraph& graph(int g) const { return spec_->graphs[g]; }
 
-  // --- flat adjacency ---
+  // --- flat adjacency (edge ids in increasing order) ---
   int edge_src(int eid) const { return edge_src_[eid]; }
   int edge_dst(int eid) const { return edge_dst_[eid]; }
-  const std::vector<int>& out_edges(int tid) const { return out_[tid]; }
-  const std::vector<int>& in_edges(int tid) const { return in_[tid]; }
+  std::span<const int> out_edges(int tid) const { return out_.of(tid); }
+  std::span<const int> in_edges(int tid) const { return in_.of(tid); }
 
   /// Flat task ids in a global topological order (graph by graph).
   const std::vector<int>& topo_order() const { return topo_; }
@@ -57,8 +59,9 @@ class FlatSpec {
   TimeNs absolute_deadline(int tid) const { return deadline_[tid]; }
   TimeNs hyperperiod() const { return hyperperiod_; }
 
-  /// Flat exclusion lists (within-graph exclusions mapped to flat ids).
-  const std::vector<int>& exclusions(int tid) const { return excl_[tid]; }
+  /// Flat exclusion lists (within-graph exclusions mapped to flat ids, in
+  /// the task's declaration order).
+  std::span<const int> exclusions(int tid) const { return excl_.of(tid); }
 
   /// FNV-1a over everything the list scheduler reads (adjacency, order,
   /// periods, ESTs, deadlines): a schedule resumed against another
@@ -66,13 +69,23 @@ class FlatSpec {
   std::uint64_t fingerprint() const { return fingerprint_; }
 
  private:
+  /// Per-task id lists in one array: task t's list is
+  /// ids[offset[t], offset[t + 1]).
+  struct Lists {
+    std::vector<int> offset;
+    std::vector<int> ids;
+    std::span<const int> of(int tid) const {
+      return {ids.data() + offset[tid], ids.data() + offset[tid + 1]};
+    }
+  };
+
   const Specification* spec_;
   int task_count_ = 0;
   int edge_count_ = 0;
   std::vector<int> task_base_, edge_base_;
   std::vector<int> task_graph_, edge_graph_;
   std::vector<int> edge_src_, edge_dst_;
-  std::vector<std::vector<int>> out_, in_, excl_;
+  Lists out_, in_, excl_;
   std::vector<int> topo_;
   std::vector<TimeNs> deadline_;  ///< absolute_deadline per task
   TimeNs hyperperiod_ = 0;

@@ -84,4 +84,12 @@ std::vector<TimeNs> default_edge_times(const FlatSpec& flat,
   return times;
 }
 
+CanonicalTimes canonical_times(const FlatSpec& flat,
+                               const ResourceLibrary& lib) {
+  CanonicalTimes canon{default_task_times(flat, lib),
+                       default_edge_times(flat, lib), {}};
+  canon.levels = priority_levels(flat, canon.task, canon.edge);
+  return canon;
+}
+
 }  // namespace crusade

@@ -46,4 +46,18 @@ std::vector<TimeNs> default_task_times(const FlatSpec& flat,
 std::vector<TimeNs> default_edge_times(const FlatSpec& flat,
                                        const class ResourceLibrary& lib);
 
+/// A specification's default estimates and the levels they give, which are
+/// the canonical list-scheduling priorities (scheduling_levels).  They are a
+/// function of the FlatSpec and the library alone: a run computes them once
+/// and hands the same object to clustering, allocation, mode merging and
+/// interface synthesis.
+struct CanonicalTimes {
+  std::vector<TimeNs> task;  ///< default_task_times
+  std::vector<TimeNs> edge;  ///< default_edge_times
+  PriorityLevels levels;     ///< priority_levels(flat, task, edge)
+};
+
+CanonicalTimes canonical_times(const FlatSpec& flat,
+                               const class ResourceLibrary& lib);
+
 }  // namespace crusade

@@ -57,14 +57,9 @@ int hyper_frames(const FlatSpec& flat) {
   return static_cast<int>(flat.hyperperiod() / std::max<TimeNs>(1, min_period));
 }
 
-}  // namespace
-
-FaultScenario draw_scenario(const SurvivalInput& input, std::uint64_t seed,
-                            const SimParams& params) {
-  CRUSADE_REQUIRE(input.flat && input.arch && input.task_cluster &&
-                      input.schedule,
-                  "survival input incomplete");
-  const FaultSurface surface = build_surface(input);
+/// draw_scenario on the input's fault surface, built once by the caller.
+FaultScenario draw(const FaultSurface& surface, const FlatSpec& flat,
+                   std::uint64_t seed, const SimParams& params) {
   Rng rng(seed);
 
   // Weighted pick over the kinds that have candidates.
@@ -91,7 +86,6 @@ FaultScenario draw_scenario(const SurvivalInput& input, std::uint64_t seed,
   sc.seed = seed;
   if (kinds.empty()) return sc;  // nothing to fault: FaultKind::None
   sc.kind = kinds[rng.weighted_index(weights)];
-  const FlatSpec& flat = *input.flat;
   // One shared frame index; simulate_scenario folds it into each graph's
   // own frame count, so any value in [0, max frames) is meaningful.
   sc.frame = static_cast<int>(
@@ -130,6 +124,16 @@ FaultScenario draw_scenario(const SurvivalInput& input, std::uint64_t seed,
   return sc;
 }
 
+}  // namespace
+
+FaultScenario draw_scenario(const SurvivalInput& input, std::uint64_t seed,
+                            const SimParams& params) {
+  CRUSADE_REQUIRE(input.flat && input.arch && input.task_cluster &&
+                      input.schedule,
+                  "survival input incomplete");
+  return draw(build_surface(input), *input.flat, seed, params);
+}
+
 CampaignResult run_campaign(const SurvivalInput& input,
                             const CampaignParams& params) {
   OBS_SPAN("phase.sim.campaign");
@@ -151,14 +155,20 @@ CampaignResult run_campaign(const SurvivalInput& input,
     result.outcomes.push_back(outcome);
   };
 
+  // The fault surface and the scenario-independent replay are the same for
+  // every scenario: built once.
+  const ReplayCache cache = make_replay_cache(input);
+  const FaultSurface surface = build_surface(input);
+
   // The fault-free baseline: a "feasible" schedule that cannot even replay
   // cleanly is the most basic FT lie.
-  record(simulate_scenario(input, FaultScenario{}, params.sim));
+  record(simulate_scenario(input, cache, FaultScenario{}, params.sim));
 
   for (int i = 0; i < params.seeds; ++i) {
     const std::uint64_t seed = params.seed_base + static_cast<std::uint64_t>(i);
-    const FaultScenario scenario = draw_scenario(input, seed, params.sim);
-    record(simulate_scenario(input, scenario, params.sim));
+    const FaultScenario scenario =
+        draw(surface, *input.flat, seed, params.sim);
+    record(simulate_scenario(input, cache, scenario, params.sim));
   }
   return result;
 }

@@ -228,23 +228,64 @@ FrameEffects Injection::replay(int g, const std::vector<int>& order,
   return fx;
 }
 
+void require_complete(const SurvivalInput& input) {
+  CRUSADE_REQUIRE(input.flat && input.arch && input.task_cluster &&
+                      input.schedule,
+                  "survival input incomplete");
+  CRUSADE_REQUIRE(
+      static_cast<int>(input.schedule->task_start.size()) ==
+              input.flat->task_count() &&
+          static_cast<int>(input.task_cluster->size()) >=
+              input.flat->task_count(),
+      "survival input does not match the flat specification");
+}
+
 }  // namespace
+
+ReplayCache make_replay_cache(const SurvivalInput& input) {
+  require_complete(input);
+  const FlatSpec& flat = *input.flat;
+  ReplayCache cache;
+  cache.order.resize(flat.graph_count());
+  cache.clean.resize(flat.graph_count());
+  const FaultScenario none;
+  const Injection inj{input, none};
+  std::vector<CopyState> st;
+  for (int g = 0; g < flat.graph_count(); ++g) {
+    const TaskGraph& graph = flat.graph(g);
+    cache.order[g] = graph.topo_order();
+    // An unplaced copy is lost, and what a loss does depends on the
+    // scenario: only a fully placed graph's unfaulted frame is cached.
+    bool placed = true;
+    for (int lt = 0; lt < graph.task_count(); ++lt)
+      placed = placed &&
+               input.schedule->task_start[flat.task_id(g, lt)] != kNoTime;
+    if (!placed) continue;
+    st.resize(graph.task_count());
+    ReplayCache::Frame frame;
+    frame.misses = inj.replay(g, cache.order[g], 0, false, st).misses;
+    for (const CopyState& cs : st) frame.finish.push_back(cs.finish);
+    cache.clean[g] = std::move(frame);
+  }
+  return cache;
+}
 
 ScenarioOutcome simulate_scenario(const SurvivalInput& input,
                                   const FaultScenario& scenario,
                                   const SimParams& params) {
+  return simulate_scenario(input, make_replay_cache(input), scenario,
+                           params);
+}
+
+ScenarioOutcome simulate_scenario(const SurvivalInput& input,
+                                  const ReplayCache& cache,
+                                  const FaultScenario& scenario,
+                                  const SimParams& params) {
   OBS_SPAN("sim.scenario");
-  CRUSADE_REQUIRE(input.flat && input.arch && input.task_cluster &&
-                      input.schedule,
-                  "survival input incomplete");
+  require_complete(input);
   const FlatSpec& flat = *input.flat;
   const ScheduleResult& sched = *input.schedule;
   const Architecture& arch = *input.arch;
-  CRUSADE_REQUIRE(
-      static_cast<int>(sched.task_start.size()) == flat.task_count() &&
-          static_cast<int>(input.task_cluster->size()) >=
-              static_cast<int>(flat.task_count()),
-      "survival input does not match the flat specification");
 
   ScenarioOutcome out;
   out.scenario = scenario;
@@ -350,15 +391,49 @@ ScenarioOutcome simulate_scenario(const SurvivalInput& input,
     }
   };
 
+  // The graphs the fault can reach.  Every frame of any other graph
+  // replays as its unfaulted frame does.
+  std::vector<char> reachable(flat.graph_count(), 0);
+  switch (scenario.kind) {
+    case FaultKind::None:
+      break;
+    case FaultKind::PeDeath:  // the reach/tail bounds below decide
+      std::fill(reachable.begin(), reachable.end(), 1);
+      break;
+    case FaultKind::TransientTask:
+      reachable[flat.graph_of_task(scenario.task)] = 1;
+      break;
+    case FaultKind::LinkLoss:
+      reachable[flat.graph_of_edge(scenario.edge)] = 1;
+      break;
+    case FaultKind::ReconfigRetry:
+      for (int tid = 0; tid < flat.task_count(); ++tid)
+        if (input.task_pe(tid) == scenario.pe &&
+            input.task_mode(tid) == scenario.mode)
+          reachable[flat.graph_of_task(tid)] = 1;
+      break;
+  }
+
+  std::vector<CopyState> st;
   for (int g = 0; g < flat.graph_count(); ++g) {
     const TaskGraph& graph = flat.graph(g);
     const TimeNs period = graph.period();
     CRUSADE_REQUIRE(period > 0, "graph period must be positive");
     const int frames = static_cast<int>(hyper / period);
-    const std::vector<int> order = graph.topo_order();
-    std::vector<CopyState> st(graph.task_count());
+    const std::vector<int>& order = cache.order[g];
+    st.resize(graph.task_count());
 
-    const FrameEffects clean = inj.replay(g, order, 0, false, st);
+    // The unfaulted frame: cached, or replayed when a copy is unplaced.
+    const std::optional<ReplayCache::Frame>& cached = cache.clean[g];
+    FrameEffects clean;
+    if (cached)
+      clean.misses = cached->misses;
+    else
+      clean = inj.replay(g, order, 0, false, st);
+    if (!reachable[g]) {
+      apply(g, clean, frames);
+      continue;
+    }
     int reach = frames;
     int tail = frames;
     bool dead_tail = false;
@@ -377,7 +452,8 @@ ScenarioOutcome simulate_scenario(const SurvivalInput& input,
         if (sched.task_start[tid] == kNoTime ||
             input.task_pe(tid) != scenario.pe)
           continue;
-        lo = std::min(lo, floor_div(inj.dead_from - st[lt].finish, period) + 1);
+        const TimeNs clean_finish = cached ? cached->finish[lt] : st[lt].finish;
+        lo = std::min(lo, floor_div(inj.dead_from - clean_finish, period) + 1);
         hi = std::max(
             hi, inj.dead_until == kNever
                     ? floor_div(inj.dead_from - sched.task_finish[tid],

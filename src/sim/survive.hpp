@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -117,9 +118,30 @@ struct SurvivalInput {
   int task_mode(int tid) const;
 };
 
+/// What every scenario replays the same way on one input, computed once per
+/// campaign: each graph's topological order and, when every task of the
+/// graph is placed, its unfaulted frame.  Such a frame loses no copy, so no
+/// scenario changes it (DESIGN.md §12).
+struct ReplayCache {
+  struct Frame {
+    std::int64_t misses = 0;     ///< deadline misses of one frame
+    std::vector<TimeNs> finish;  ///< per local task, offset of frame 0
+  };
+  std::vector<std::vector<int>> order;     ///< per graph, local task ids
+  std::vector<std::optional<Frame>> clean;  ///< per graph, when cached
+};
+
+ReplayCache make_replay_cache(const SurvivalInput& input);
+
 /// Replays the schedule under one injected fault and renders the verdict.
 /// Deterministic: depends only on (input, scenario, params).
 ScenarioOutcome simulate_scenario(const SurvivalInput& input,
+                                  const FaultScenario& scenario,
+                                  const SimParams& params = {});
+/// The same, with `cache` = make_replay_cache(input) shared by many
+/// scenarios.
+ScenarioOutcome simulate_scenario(const SurvivalInput& input,
+                                  const ReplayCache& cache,
                                   const FaultScenario& scenario,
                                   const SimParams& params = {});
 

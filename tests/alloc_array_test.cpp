@@ -150,12 +150,13 @@ void check_profile(const char* profile, bool reconfig) {
 
   // The allocator Crusade::run builds, as far as the array reads it.
   const FlatSpec flat(spec);
+  const CanonicalTimes canon = canonical_times(flat, lib);
   AllocParams alloc_params;
   alloc_params.pruned_pe_types = result.preflight.dominated_pes;
   alloc_params.pruned_link_types = result.preflight.dominated_links;
   const CompatibilityMatrix* compat =
       reconfig && spec.compatibility ? &*spec.compatibility : nullptr;
-  Allocator alloc(flat, lib, compat, alloc_params);
+  Allocator alloc(flat, lib, canon, compat, alloc_params);
 
   // The constructive loop enumerates the cluster each commit places, on
   // the architecture the commit before left.
@@ -230,12 +231,13 @@ TEST(AllocationArrayCrafted, PreferenceOrdersEqualPricedFreshPes) {
   spec.graphs.push_back(std::move(g));
 
   const FlatSpec flat(spec);
+  const CanonicalTimes canon = canonical_times(flat, lib);
   const std::vector<Cluster> clusters =
-      cluster_tasks(flat, lib, ClusteringParams{});
+      cluster_tasks(flat, lib, canon, ClusteringParams{});
   ASSERT_EQ(clusters.size(), 1u);
   const std::vector<int> task_cluster =
       task_to_cluster(clusters, flat.task_count());
-  Allocator alloc(flat, lib, nullptr, AllocParams{});
+  Allocator alloc(flat, lib, canon, nullptr, AllocParams{});
 
   const Architecture empty(&lib, 1, flat.edge_count());
   const std::vector<Candidate> array =

@@ -39,13 +39,15 @@ const ResourceLibrary& lib() {
 struct Input {
   Specification spec;
   FlatSpec flat;
+  CanonicalTimes canon;
   std::vector<Cluster> clusters;
   const CompatibilityMatrix* compat = nullptr;
 
   Input(Specification s, bool reconfig)
       : spec(std::move(s)),
         flat(spec),
-        clusters(cluster_tasks(flat, lib(), ClusteringParams{})) {
+        canon(canonical_times(flat, lib())),
+        clusters(cluster_tasks(flat, lib(), canon, ClusteringParams{})) {
     if (reconfig && spec.compatibility) compat = &*spec.compatibility;
   }
 
@@ -64,7 +66,7 @@ std::vector<AllocState> expect_bars_fresh(
     const Input& s, AllocParams params, Architecture before,
     const std::string& what, const Architecture* seed_arch = nullptr,
     const AllocState* resume = nullptr) {
-  Allocator oracle(s.flat, lib(), s.compat, s.params());
+  Allocator oracle(s.flat, lib(), s.canon, s.compat, s.params());
   const std::vector<int> task_cluster =
       task_to_cluster(s.clusters, s.flat.task_count());
   std::vector<AllocState> states;
@@ -78,7 +80,8 @@ std::vector<AllocState> expect_bars_fresh(
     before = state.arch;
     states.push_back(state);
   };
-  Allocator(s.flat, lib(), s.compat, params).run(s.clusters, seed_arch, resume);
+  Allocator(s.flat, lib(), s.canon, s.compat, params)
+      .run(s.clusters, seed_arch, resume);
   return states;
 }
 
@@ -239,7 +242,7 @@ TEST(AllocBaselineTraced, AnsweredBaselinesAreNotScheduled) {
   params.progress_hook = [&](const AllocState&) { ++commits; };
   obs::reset();
   obs::set_enabled(true);
-  Allocator(s.flat, lib(), s.compat, params).run(s.clusters);
+  Allocator(s.flat, lib(), s.canon, s.compat, params).run(s.clusters);
   obs::set_enabled(false);
   std::int64_t spans = 0;
   for (const obs::TraceEvent& e : obs::events())

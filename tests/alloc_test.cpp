@@ -13,6 +13,11 @@ const ResourceLibrary& lib() {
   return l;
 }
 
+std::vector<Cluster> clusters_of(const FlatSpec& flat,
+                                 ClusteringParams params = {}) {
+  return cluster_tasks(flat, lib(), canonical_times(flat, lib()), params);
+}
+
 Specification small_spec(std::uint64_t seed = 21, int tasks = 80) {
   SpecGenerator gen(lib());
   SpecGenConfig cfg;
@@ -26,7 +31,7 @@ Specification small_spec(std::uint64_t seed = 21, int tasks = 80) {
 TEST(ClusterTest, PartitionsEveryTaskExactlyOnce) {
   const Specification spec = small_spec();
   const FlatSpec flat(spec);
-  const auto clusters = cluster_tasks(flat, lib(), ClusteringParams{});
+  const auto clusters = clusters_of(flat);
   std::vector<int> owner(flat.task_count(), -1);
   for (const Cluster& c : clusters) {
     EXPECT_FALSE(c.tasks.empty());
@@ -42,7 +47,7 @@ TEST(ClusterTest, PartitionsEveryTaskExactlyOnce) {
 TEST(ClusterTest, NeverSpansGraphsAndRespectsSizeCap) {
   const Specification spec = small_spec();
   const FlatSpec flat(spec);
-  for (const Cluster& c : cluster_tasks(flat, lib(), ClusteringParams{})) {
+  for (const Cluster& c : clusters_of(flat)) {
     EXPECT_LE(static_cast<int>(c.tasks.size()), kMaxClusterSize);
     for (int tid : c.tasks) EXPECT_EQ(flat.graph_of_task(tid), c.graph);
   }
@@ -51,7 +56,7 @@ TEST(ClusterTest, NeverSpansGraphsAndRespectsSizeCap) {
 TEST(ClusterTest, FeasibilityMaskNonEmptyAndAggregatesMatch) {
   const Specification spec = small_spec();
   const FlatSpec flat(spec);
-  for (const Cluster& c : cluster_tasks(flat, lib(), ClusteringParams{})) {
+  for (const Cluster& c : clusters_of(flat)) {
     bool any = false;
     for (char f : c.feasible_pe) any = any || f;
     EXPECT_TRUE(any) << "cluster with no feasible PE type";
@@ -78,7 +83,7 @@ TEST(ClusterTest, ExclusionsKeptApart) {
   g.add_exclusion(a, b);
   spec.graphs.push_back(std::move(g));
   const FlatSpec flat(spec);
-  for (const Cluster& c : cluster_tasks(flat, lib(), ClusteringParams{}))
+  for (const Cluster& c : clusters_of(flat))
     EXPECT_EQ(c.tasks.size(), 1u);  // the pair must not merge
 }
 
@@ -87,14 +92,14 @@ TEST(ClusterTest, DisabledYieldsSingletons) {
   const FlatSpec flat(spec);
   ClusteringParams params;
   params.enabled = false;
-  const auto clusters = cluster_tasks(flat, lib(), params);
+  const auto clusters = clusters_of(flat, params);
   EXPECT_EQ(static_cast<int>(clusters.size()), flat.task_count());
 }
 
 TEST(ClusterTest, ClusteringReducesClusterCount) {
   const Specification spec = small_spec();
   const FlatSpec flat(spec);
-  const auto on = cluster_tasks(flat, lib(), ClusteringParams{});
+  const auto on = clusters_of(flat);
   EXPECT_LT(on.size(), static_cast<std::size_t>(flat.task_count()));
 }
 
@@ -164,8 +169,9 @@ AllocRun run_allocator(std::uint64_t seed, bool use_modes) {
   static std::vector<std::unique_ptr<FlatSpec>> keep_alive;
   keep_alive.push_back(std::make_unique<FlatSpec>(run.spec));
   const FlatSpec& flat = *keep_alive.back();
-  run.clusters = cluster_tasks(flat, lib(), ClusteringParams{});
-  Allocator allocator(flat, lib(),
+  const CanonicalTimes canon = canonical_times(flat, lib());
+  run.clusters = cluster_tasks(flat, lib(), canon, ClusteringParams{});
+  Allocator allocator(flat, lib(), canon,
                       use_modes && run.spec.compatibility
                           ? &*run.spec.compatibility
                           : nullptr,

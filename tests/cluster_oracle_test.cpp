@@ -36,9 +36,10 @@ std::vector<std::uint64_t> bits(const std::vector<double>& values) {
 
 void expect_same_clusters(const Specification& spec, const std::string& what) {
   const FlatSpec flat(spec);
+  const CanonicalTimes canon = canonical_times(flat, lib());
   for (bool enabled : {true, false}) {
     const ClusteringParams params{enabled};
-    const std::vector<Cluster> got = cluster_tasks(flat, lib(), params);
+    const std::vector<Cluster> got = cluster_tasks(flat, lib(), canon, params);
     const std::vector<Cluster> want =
         reference::cluster_tasks(flat, lib(), params);
     const std::string where =

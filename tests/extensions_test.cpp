@@ -98,10 +98,11 @@ TEST(EvacuationTest, ConsolidatesUnderfilledDevices) {
   }
   spec.graphs.push_back(std::move(g));
   const FlatSpec flat(spec);
-  const auto clusters = cluster_tasks(flat, lib(), ClusteringParams{});
+  const CanonicalTimes canon = canonical_times(flat, lib());
+  const auto clusters = cluster_tasks(flat, lib(), canon, ClusteringParams{});
   ASSERT_EQ(clusters.size(), 2u);  // no edges: two singleton clusters
 
-  Allocator allocator(flat, lib(), nullptr, AllocParams{});
+  Allocator allocator(flat, lib(), canon, nullptr, AllocParams{});
   AllocationOutcome outcome;
   outcome.task_cluster = task_to_cluster(clusters, flat.task_count());
   outcome.arch = Architecture(&lib(), 2, 0);

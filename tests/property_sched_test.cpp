@@ -362,8 +362,9 @@ TEST(UnplaceTest, RestoresCapacityAndLinkDemand) {
   cfg.seed = 5;
   const Specification spec = gen.generate(cfg);
   const FlatSpec flat(spec);
-  const auto clusters = cluster_tasks(flat, lib, ClusteringParams{});
-  Allocator allocator(flat, lib, nullptr, AllocParams{});
+  const CanonicalTimes canon = canonical_times(flat, lib);
+  const auto clusters = cluster_tasks(flat, lib, canon, ClusteringParams{});
+  Allocator allocator(flat, lib, canon, nullptr, AllocParams{});
   AllocationOutcome outcome = allocator.run(clusters);
   ASSERT_TRUE(outcome.feasible);
 

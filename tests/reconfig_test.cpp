@@ -179,6 +179,7 @@ TEST(InterfaceTest, NoPpesMeansFreeInterface) {
 struct MergeFixture {
   Specification spec;
   std::unique_ptr<FlatSpec> flat;
+  PriorityLevels levels;  ///< scheduling_levels of the flat spec
   Architecture arch;
   std::vector<int> task_cluster;
   ScheduleResult schedule;
@@ -212,8 +213,8 @@ MergeFixture make_merge_fixture(bool compatible) {
   fx.task_cluster = {0, 1};
   SchedProblem p =
       make_sched_problem(fx.arch, *fx.flat, fx.task_cluster, {}, false);
-  fx.schedule =
-      run_list_scheduler(p, scheduling_levels(*fx.flat, *l));
+  fx.levels = scheduling_levels(*fx.flat, *l);
+  fx.schedule = run_list_scheduler(p, fx.levels);
   return fx;
 }
 
@@ -222,8 +223,8 @@ TEST(MergeTest, CompatibleDevicesMerge) {
   MergeParams params;
   params.reboots_in_schedule = false;
   const MergeReport report =
-      merge_modes(fx.arch, fx.schedule, *fx.flat, *fx.spec.compatibility,
-                  fx.task_cluster, params);
+      merge_modes(fx.arch, fx.schedule, *fx.flat, fx.levels,
+                  *fx.spec.compatibility, fx.task_cluster, params);
   EXPECT_EQ(report.merges_accepted, 1);
   EXPECT_EQ(fx.arch.live_pe_count(), 1);
   EXPECT_EQ(fx.arch.pes[fx.arch.cluster_pe[0]].modes.size(), 2u);
@@ -237,8 +238,8 @@ TEST(MergeTest, IncompatibleDevicesDoNotMerge) {
   MergeParams params;
   params.reboots_in_schedule = false;
   const MergeReport report =
-      merge_modes(fx.arch, fx.schedule, *fx.flat, *fx.spec.compatibility,
-                  fx.task_cluster, params);
+      merge_modes(fx.arch, fx.schedule, *fx.flat, fx.levels,
+                  *fx.spec.compatibility, fx.task_cluster, params);
   EXPECT_EQ(report.merges_accepted, 0);
   EXPECT_EQ(fx.arch.live_pe_count(), 2);
 }
@@ -249,7 +250,7 @@ TEST(MergeTest, ValidatorCanVeto) {
   params.reboots_in_schedule = false;
   int calls = 0;
   const MergeReport report = merge_modes(
-      fx.arch, fx.schedule, *fx.flat, *fx.spec.compatibility,
+      fx.arch, fx.schedule, *fx.flat, fx.levels, *fx.spec.compatibility,
       fx.task_cluster, params, [&](const Architecture&) {
         ++calls;
         return false;  // dependability analysis says no (§6)
@@ -268,8 +269,8 @@ TEST(MergeTest, ConsolidationFoldsSmallModes) {
   MergeParams params;
   params.reboots_in_schedule = false;
   const MergeReport report =
-      merge_modes(fx.arch, fx.schedule, *fx.flat, *fx.spec.compatibility,
-                  fx.task_cluster, params);
+      merge_modes(fx.arch, fx.schedule, *fx.flat, fx.levels,
+                  *fx.spec.compatibility, fx.task_cluster, params);
   EXPECT_EQ(report.merges_accepted, 1);
   EXPECT_GE(report.consolidations, 1);
   EXPECT_EQ(fx.arch.live_pe_count(), 1);
@@ -293,8 +294,8 @@ TEST(MergeTest, ModeCapRespected) {
   MergeParams params;
   params.reboots_in_schedule = false;
   const MergeReport report =
-      merge_modes(fx.arch, fx.schedule, *fx.flat, *fx.spec.compatibility,
-                  fx.task_cluster, params);
+      merge_modes(fx.arch, fx.schedule, *fx.flat, fx.levels,
+                  *fx.spec.compatibility, fx.task_cluster, params);
   EXPECT_EQ(report.merges_accepted, 0);
 }
 

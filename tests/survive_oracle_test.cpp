@@ -4,14 +4,15 @@
 // replay it replaced, kept in tests/reference_survive.cpp.
 //
 // Inputs: Table 3's profiles at 0.02x through CRUSADE-FT, with and without
-// reconfiguration (HRXC is past the test's budget), each in four forms:
-// spares as provisioned, spares cleared, every 7th task unplaced, and every
-// 3rd task that has inputs started before they arrive.  Scenarios: the
-// baseline and 32 drawn seeds; PE deaths at 0, at the hyperperiod's last
-// instant and around each resident copy's start and finish in frames 0, 1
-// and 3; every transient, link loss (inside and past the retry budget) and
-// reconfiguration failure (inside and past the reboot budget) in frames 0,
-// 1, the last one and one past every graph's count.
+// reconfiguration (HRXC is past the test's budget), each in five forms:
+// spares as provisioned, spares cleared, every 7th task unplaced, every 3rd
+// task that has inputs started before they arrive, and every 5th task with
+// a deadline finishing past it.  Scenarios: the baseline and 32 drawn
+// seeds; PE deaths at 0, at the hyperperiod's last instant and around each
+// resident copy's start and finish in frames 0, 1 and 3; every transient,
+// link loss (inside and past the retry budget) and reconfiguration failure
+// (inside and past the reboot budget) in frames 0, 1, the last one and one
+// past every graph's count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -190,6 +191,18 @@ TEST_P(SurviveOracle, MatchesTheReferenceReplay) {
     early.task_finish[tid] -= sched.task_start[tid] - producer;
     early.task_start[tid] = producer;
   }
+  // Every task placed, some of them past their deadlines: the unfaulted
+  // frame a campaign shares between scenarios then has misses of its own.
+  ScheduleResult late = sched;
+  int with_deadline = 0;
+  for (int tid = 0; tid < flat.task_count(); ++tid) {
+    const TimeNs deadline = flat.absolute_deadline(tid);
+    if (deadline == kNoTime || with_deadline++ % 5 != 0) continue;
+    const TimeNs shift = deadline + 1 - late.task_finish[tid];
+    if (shift <= 0) continue;
+    late.task_start[tid] += shift;
+    late.task_finish[tid] += shift;
+  }
 
   struct Form {
     const char* name;
@@ -201,6 +214,7 @@ TEST_P(SurviveOracle, MatchesTheReferenceReplay) {
       {"spares cleared", &sched, std::vector<int>(spares.size(), 0)},
       {"every 7th task unplaced", &unplaced, spares},
       {"every 3rd task with inputs started early", &early, spares},
+      {"every 5th deadline task late", &late, spares},
   };
   const SimParams params;
   for (const Form& form : forms) {

@@ -62,49 +62,70 @@ using namespace crusade;
 
 namespace {
 
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage:\n"
-               "  %s run <file.spec> [--no-reconfig] [--ft] "
-               "[--boot-req <time>] [--power-cap <mW>] [--dump-schedule] "
-               "[--write-spec <out>] [--trace <out.json>] [--stats] "
-               "[--json] [--deadline-ms <n>] [--checkpoint <file>] "
-               "[--checkpoint-every <evals>] [--resume]\n"
-               "  %s trace <file.spec> [-o <trace.json>] [--no-reconfig] "
-               "[--boot-req <time>] [--json]\n"
-               "  %s validate <file.spec> [--no-reconfig] "
-               "[--boot-req <time>]\n"
-               "  %s generate (--profile <name> [--scale <f>] | --tasks <n>) "
-               "[--seed <n>] [-o <file.spec>]\n"
-               "  %s soak <file.spec> [--kills <n>] "
-               "[--checkpoint-every <evals>] [--seed <n>]\n"
-               "  %s upgrade <deployed.spec> <new.spec>\n"
-               "  %s ft <file.spec> [--no-reconfig] [--boot-req <time>] "
-               "[--power-cap <mW>] [--stats] [--json]\n"
-               "  %s survive <file.spec> [--seeds <n>] [--seed-base <n>] "
-               "[--no-reconfig] [--boot-req <time>] [--json]\n"
-               "  %s lint <file.spec> [--json]\n"
-               "  %s info <file.spec>\n"
-               "  %s profiles\n"
-               "  %s submit <file.spec> [--kind run|lint|validate|survive] "
-               "[--priority <n>] [--deadline-ms <n>] [--no-reconfig] "
-               "[--seeds <n>] [--wait] [--timeout-ms <n>] [--socket <path>] "
-               "[--nonce <token>] [--retries <n>] [--recv-timeout-ms <n>]\n"
-               "  %s status [id] [--socket <path>]\n"
-               "  %s result <id> [--wait] [--timeout-ms <n>] "
-               "[--trace <out.json>] [--socket <path>]\n"
-               "  %s trace --job <id> [-o <trace.json>] [--socket <path>]\n"
-               "  %s stats [--follow] [--interval-ms <n>] "
-               "[--socket <path>]\n"
-               "  %s cancel <id> [--socket <path>]\n"
-               "  %s shutdown [--hard] [--socket <path>]\n"
+/// The usage text: one line per verb form, each after the program name.
+struct UsageLine {
+  const char* verb;
+  const char* text;
+};
+constexpr UsageLine kUsage[] = {
+    {"run",
+     "run <file.spec> [--no-reconfig] [--ft] [--boot-req <time>] "
+     "[--power-cap <mW>] [--dump-schedule] [--write-spec <out>] "
+     "[--trace <out.json>] [--stats] [--json] [--deadline-ms <n>] "
+     "[--checkpoint <file>] [--checkpoint-every <evals>] [--resume]"},
+    {"trace",
+     "trace <file.spec> [-o <trace.json>] [--no-reconfig] "
+     "[--boot-req <time>] [--json]"},
+    {"validate", "validate <file.spec> [--no-reconfig] [--boot-req <time>]"},
+    {"generate",
+     "generate (--profile <name> [--scale <f>] | --tasks <n>) [--seed <n>] "
+     "[-o <file.spec>]"},
+    {"soak",
+     "soak <file.spec> [--kills <n>] [--checkpoint-every <evals>] "
+     "[--seed <n>]"},
+    {"upgrade", "upgrade <deployed.spec> <new.spec>"},
+    {"ft",
+     "ft <file.spec> [--no-reconfig] [--boot-req <time>] "
+     "[--power-cap <mW>] [--stats] [--json]"},
+    {"survive",
+     "survive <file.spec> [--seeds <n>] [--seed-base <n>] [--no-reconfig] "
+     "[--boot-req <time>] [--json]"},
+    {"lint", "lint <file.spec> [--json]"},
+    {"info", "info <file.spec>"},
+    {"profiles", "profiles"},
+    {"submit",
+     "submit <file.spec> [--kind run|lint|validate|survive] "
+     "[--priority <n>] [--deadline-ms <n>] [--no-reconfig] [--seeds <n>] "
+     "[--wait] [--timeout-ms <n>] [--socket <path>] [--nonce <token>] "
+     "[--retries <n>] [--recv-timeout-ms <n>]"},
+    {"status", "status [id] [--socket <path>]"},
+    {"result",
+     "result <id> [--wait] [--timeout-ms <n>] [--trace <out.json>] "
+     "[--socket <path>]"},
+    {"trace", "trace --job <id> [-o <trace.json>] [--socket <path>]"},
+    {"stats", "stats [--follow] [--interval-ms <n>] [--socket <path>]"},
+    {"cancel", "cancel <id> [--socket <path>]"},
+    {"shutdown", "shutdown [--hard] [--socket <path>]"},
+};
+
+/// Prints the usage lines of `verb`, or all of them when it has none, and
+/// the exit-code contracts.
+void print_usage(std::FILE* out, const char* argv0, const std::string& verb) {
+  bool known = false;
+  for (const UsageLine& line : kUsage) known = known || verb == line.verb;
+  std::fprintf(out, "usage:\n");
+  for (const UsageLine& line : kUsage)
+    if (!known || verb == line.verb)
+      std::fprintf(out, "  %s %s\n", argv0, line.text);
+  std::fprintf(out,
                "run exit codes: 0 feasible, 1 infeasible, 2 operational "
                "error, 3 deadline/stop-truncated anytime result\n"
                "submit/result --wait exit codes: 0 ok/masked, 1 "
-               "failed-honest/cancelled, 3 degraded-honest, 4 busy/pending\n",
-               argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0,
-               argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0,
-               argv0, argv0);
+               "failed-honest/cancelled, 3 degraded-honest, 4 busy/pending\n");
+}
+
+int usage(const char* argv0) {
+  print_usage(stderr, argv0, "");
   return 2;
 }
 
@@ -1106,6 +1127,14 @@ int cmd_profiles() {
 int main(int argc, char** argv) {
   if (argc < 2) return usage(argv[0]);
   const std::string cmd = argv[1];
+  // Help is answered before any verb reads a file or calls the daemon.
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      print_usage(stdout, argv[0], i > 1 ? cmd : "");
+      return 0;
+    }
+  }
   try {
     if (cmd == "run") return cmd_run(argc, argv);
     if (cmd == "trace") return cmd_trace(argc, argv);
